@@ -16,8 +16,9 @@ from .errors import (
     SingularMomentMatrix,
 )
 
-_EXP_MAX = 709.782712893384
-_EXP_MIN = -744.4400719213812
+# exp() stays inside double range only for exponents in [_EXP_MIN, _EXP_MAX]
+_EXP_MAX = 709.782712893384  # log(largest double)
+_EXP_MIN = -744.4400719213812  # log(smallest positive subnormal)
 _COND_LIMIT = 1.0 / np.finfo(float).eps
 
 
@@ -89,6 +90,16 @@ def weighted_solve(arr: AreaArrays, weights: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
+def moment_weights(arr: AreaArrays, beta: np.ndarray, sigma2: float) -> np.ndarray:
+    # D_i = 1 / (beta' sigma_i beta + sigma2 + psi_i)
+    den = quad_form(arr.sigma, beta) + sigma2 + arr.psi
+    if not np.all(den > 0.0) or not np.all(np.isfinite(den)):
+        raise SingularMomentMatrix(
+            "area weight denominators must be positive and finite"
+        )
+    return 1.0 / den
+
+
 def sigma2_moment(arr: AreaArrays, beta: np.ndarray) -> tuple[float, bool]:
     resid = arr.z - arr.w @ beta
     raw = float(resid @ resid) / arr.m - float(arr.psi.mean())
@@ -122,12 +133,7 @@ def fit_core(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        den = quad_form(arr.sigma, beta) + sigma2 + arr.psi
-        if not np.all(den > 0.0) or not np.all(np.isfinite(den)):
-            raise SingularMomentMatrix(
-                "area weight denominators must be positive and finite"
-            )
-        beta_new = weighted_solve(arr, 1.0 / den)
+        beta_new = weighted_solve(arr, moment_weights(arr, beta, sigma2))
         sigma2_new, truncated = sigma2_moment(arr, beta_new)
         step = float(np.max(np.abs(beta_new - beta) / (1.0 + np.abs(beta_new))))
         step = max(step, abs(sigma2_new - sigma2) / (1.0 + abs(sigma2_new)))
@@ -138,9 +144,11 @@ def fit_core(
     return beta, sigma2, iterations, converged, truncated
 
 
-def gamma_vec(arr: AreaArrays, beta: np.ndarray, sigma2: float) -> np.ndarray:
-    num = quad_form(arr.sigma, beta) + sigma2
-    den = num + arr.psi
+def gamma_vec(
+    sigma: np.ndarray, psi: np.ndarray, beta: np.ndarray, sigma2: float
+) -> np.ndarray:
+    num = quad_form(sigma, beta) + sigma2
+    den = num + psi
     if np.any(den <= 0.0):
         raise DegenerateVariance(
             "an area has beta'sigma_me beta + sigma2_nu + psi == 0"
@@ -148,13 +156,23 @@ def gamma_vec(arr: AreaArrays, beta: np.ndarray, sigma2: float) -> np.ndarray:
     return num / den
 
 
+def conditional_moments(
+    arr: AreaArrays, beta: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and variance of each theta_i given the data, and gamma_i."""
+    g = gamma_vec(arr.sigma, arr.psi, beta, sigma2)
+    mean = g * arr.z + (1.0 - g) * (arr.w @ beta)
+    return mean, g * arr.psi, g
+
+
 def exp_checked(x: np.ndarray) -> np.ndarray:
-    hi = float(np.max(x))
-    lo = float(np.min(x))
-    if hi > _EXP_MAX or lo < _EXP_MIN:
-        bad = hi if hi > _EXP_MAX else lo
+    """exp(x), or PredictionOverflow carrying the first offending index."""
+    if float(np.max(x)) > _EXP_MAX or float(np.min(x)) < _EXP_MIN:
+        i = int(np.argmax((x > _EXP_MAX) | (x < _EXP_MIN)))
         raise PredictionOverflow(
-            f"exponent {bad:.6g} is outside the representable range"
+            f"exponent {x[i]:.6g} is outside the representable range "
+            f"[{_EXP_MIN:.1f}, {_EXP_MAX:.1f}]",
+            index=i,
         )
     return np.exp(x)
 
@@ -169,21 +187,21 @@ def log_expm1(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def m1_from_moments(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Conditional variance of exp(theta): exp(var) (exp(var) - 1)
+    exp(2 mean), exactly zero where var is zero."""
+    pos = var > 0.0
+    exponent = np.zeros(var.shape)  # placeholder where var == 0
+    exponent[pos] = var[pos] + log_expm1(var[pos]) + 2.0 * mean[pos]
+    m1 = exp_checked(exponent)
+    m1[~pos] = 0.0
+    return m1
+
+
 def predictions_and_m1(
-    arr: AreaArrays,
-    beta: np.ndarray,
-    sigma2: float,
-    covariate: np.ndarray | None = None,
+    arr: AreaArrays, beta: np.ndarray, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive-scale predictions, their conditional-variance terms, and the
     shrinkage weights, all evaluated at the given parameters."""
-    g = gamma_vec(arr, beta, sigma2)
-    mw = (arr.w if covariate is None else covariate) @ beta
-    base = g * arr.z + (1.0 - g) * mw
-    pred = exp_checked(base + 0.5 * g * arr.psi)
-    a = g * arr.psi
-    m1 = np.zeros(arr.m)
-    pos = a > 0.0
-    if np.any(pos):
-        m1[pos] = exp_checked(a[pos] + log_expm1(a[pos]) + 2.0 * base[pos])
-    return pred, m1, g
+    mean, var, g = conditional_moments(arr, beta, sigma2)
+    return exp_checked(mean + 0.5 * var), m1_from_moments(mean, var), g

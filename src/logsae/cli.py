@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, dataio, parallel, simulation
 from .errors import DataError, NumericalError, ParseError
 from .estimation import ModelFit, fit
-from .model import ModelParams, eb_predict, m1_term, posterior_moments
+from .model import ModelParams, _predict_stacked
 from .mspe import bootstrap_mspe, jackknife_mspe
 
 
@@ -33,8 +33,8 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _manifest(args, config: dict, seed, input_path, started_at, n_workers) -> dataio.RunManifest:
-    return dataio.RunManifest(
+def _write_manifest(args, out, config: dict, seed, input_path, started_at, n_workers):
+    manifest = dataio.RunManifest(
         command=" ".join(args.argv),
         config=config,
         seed=seed,
@@ -44,21 +44,23 @@ def _manifest(args, config: dict, seed, input_path, started_at, n_workers) -> da
         finished_at=_utc_now(),
         n_workers=n_workers,
     )
+    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
 
 
-def _fit_to_dict(model_fit: ModelFit, area_ids) -> dict:
-    return {
+def _write_fit(model_fit: ModelFit, areas, out) -> None:
+    fit_dict = {
         "beta": [float(b) for b in model_fit.params.beta],
         "sigma2_nu": float(model_fit.params.sigma2_nu),
         "gammas": [float(g) for g in model_fit.gammas],
-        "area_ids": list(area_ids),
+        "area_ids": [a.area_id for a in areas],
         "iterations_used": model_fit.iterations_used,
         "converged": model_fit.converged,
         "sigma2_truncated": model_fit.sigma2_truncated,
     }
+    dataio.write_json(fit_dict, os.path.join(out, "fit.json"))
 
 
-def _load_params(path) -> ModelParams:
+def _load_params(path, areas) -> ModelParams:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -72,7 +74,16 @@ def _load_params(path) -> ModelParams:
             f"parameter file {path!r} must contain 'beta' (list) and "
             f"'sigma2_nu' (number): {exc}"
         ) from None
-    return ModelParams(beta=beta, sigma2_nu=sigma2)
+    try:
+        params = ModelParams(beta=beta, sigma2_nu=sigma2)
+    except ValueError as exc:
+        raise ParseError(f"parameter file {path!r}: {exc}") from None
+    if areas and params.p != areas[0].p:
+        raise ParseError(
+            f"parameter file {path!r} has {params.p} coefficients in 'beta', "
+            f"but the dataset has p={areas[0].p} covariates"
+        )
+    return params
 
 
 def cmd_fit(args) -> int:
@@ -80,14 +91,9 @@ def cmd_fit(args) -> int:
     areas = dataio.load_dataset(args.dataset)
     model_fit = fit(areas)
     out = _ensure_out(args.out)
-    dataio.write_json(
-        _fit_to_dict(model_fit, [a.area_id for a in areas]),
-        os.path.join(out, "fit.json"),
-    )
-    manifest = _manifest(
-        args, {"dataset": args.dataset}, None, args.dataset, started, 1
-    )
-    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
+    _write_fit(model_fit, areas, out)
+    config = {"dataset": args.dataset}
+    _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
 
 
@@ -95,22 +101,16 @@ def cmd_predict(args) -> int:
     started = _utc_now()
     areas = dataio.load_dataset(args.dataset)
     if args.params:
-        params = _load_params(args.params)
+        params = _load_params(args.params, areas)
         model_fit = None
     else:
         model_fit = fit(areas)
         params = model_fit.params
-    rows = []
-    for a in areas:
-        moments = posterior_moments(a, params)
-        rows.append(
-            {
-                "area_id": a.area_id,
-                "prediction": eb_predict(a, params),
-                "m1": m1_term(a, params),
-                "gamma": moments.gamma,
-            }
-        )
+    pred, m1, gamma = _predict_stacked(areas, params)
+    rows = [
+        {"area_id": a.area_id, "prediction": p, "m1": v, "gamma": g}
+        for a, p, v, g in zip(areas, pred.tolist(), m1.tolist(), gamma.tolist())
+    ]
     out = _ensure_out(args.out)
     dataio.write_csv(
         os.path.join(out, "predictions.csv"),
@@ -118,19 +118,9 @@ def cmd_predict(args) -> int:
         rows,
     )
     if model_fit is not None:
-        dataio.write_json(
-            _fit_to_dict(model_fit, [a.area_id for a in areas]),
-            os.path.join(out, "fit.json"),
-        )
-    manifest = _manifest(
-        args,
-        {"dataset": args.dataset, "params": args.params},
-        None,
-        args.dataset,
-        started,
-        1,
-    )
-    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
+        _write_fit(model_fit, areas, out)
+    config = {"dataset": args.dataset, "params": args.params}
+    _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
 
 
@@ -143,16 +133,6 @@ def cmd_mspe(args) -> int:
     if args.method == "jackknife":
         results = jackknife_mspe(areas, model_fit, n_workers=workers)
         fieldnames = ["area_id", "m1_j", "m2_j", "mspe", "loo_nonconverged"]
-        rows = [
-            {
-                "area_id": r.area_id,
-                "m1_j": r.m1_j,
-                "m2_j": r.m2_j,
-                "mspe": r.total,
-                "loo_nonconverged": r.loo_nonconverged,
-            }
-            for r in results
-        ]
         seed = None
     else:
         results = bootstrap_mspe(
@@ -166,30 +146,17 @@ def cmd_mspe(args) -> int:
             "negative",
             "b_replicates",
         ]
-        rows = [
-            {
-                "area_id": r.area_id,
-                "m1_bias_corrected": r.m1_bias_corrected,
-                "m2_star": r.m2_star,
-                "mspe": r.total,
-                "negative": r.negative,
-                "b_replicates": r.b_replicates,
-            }
-            for r in results
-        ]
         seed = args.seed
+    # the CSV's "mspe" column is each record's total
+    rows = [{**dataclasses.asdict(r), "mspe": r.total} for r in results]
     dataio.write_csv(os.path.join(out, "mspe.csv"), fieldnames, rows)
-    dataio.write_json(
-        _fit_to_dict(model_fit, [a.area_id for a in areas]),
-        os.path.join(out, "fit.json"),
-    )
+    _write_fit(model_fit, areas, out)
     config = {
         "dataset": args.dataset,
         "method": args.method,
         "b": args.b if args.method == "bootstrap" else None,
     }
-    manifest = _manifest(args, config, seed, args.dataset, started, workers)
-    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
+    _write_manifest(args, out, config, seed, args.dataset, started, workers)
     return 0
 
 
@@ -212,7 +179,7 @@ def cmd_simulate(args) -> int:
         report = simulation.zero_proportion_study(
             config,
             m_values=tuple(args.m_values),
-            k_values=tuple(args.k_values),
+            k_values=tuple(args.k_values or simulation.DEFAULT_K_GRID),
             n_workers=workers,
         )
     else:
@@ -220,7 +187,7 @@ def cmd_simulate(args) -> int:
             config,
             d_true=args.d_true,
             d_mis=args.d_mis,
-            k_values=args.k_values if args.k_values_given else None,
+            k_values=args.k_values,
             n_workers=workers,
         )
     out = _ensure_out(args.out)
@@ -232,10 +199,9 @@ def cmd_simulate(args) -> int:
                 list(rows[0].keys()),
                 rows,
             )
-    manifest = _manifest(
-        args, dataclasses.asdict(config), config.seed, None, started, workers
+    _write_manifest(
+        args, out, dataclasses.asdict(config), config.seed, None, started, workers
     )
-    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
     return 0
 
 
@@ -303,10 +269,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["logsae", *argv]
-    if args.command == "simulate":
-        args.k_values_given = args.k_values is not None
-        if args.k_values is None:
-            args.k_values = list(simulation.DEFAULT_K_GRID)
+    if args.command == "simulate" and args.k_values and args.study in ("emse", "mspe"):
+        parser.error(
+            f"--k-values applies to the zeros and misspec studies, "
+            f"not to --study {args.study}; use --k"
+        )
     try:
         return args.func(args)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Dataset format (one row per area, header required):
 
-* ``area_id`` — opaque identifier, kept verbatim;
+* ``area_id`` — opaque identifier, unique within the file, kept verbatim;
 * response: exactly one of ``z`` (log scale) or ``y`` (raw scale,
   strictly positive);
 * covariates: ``w_1..w_p`` (log scale) or ``x_1..x_p`` (raw scale,
@@ -181,7 +181,8 @@ def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservat
 
     Raw-scale values (y, x_j) are log-transformed after a strict
     positivity check.  A ``schema`` argument, when given, must match the
-    header exactly.  Errors pinpoint the offending line and column.
+    header exactly.  Area ids must be unique.  Errors pinpoint the
+    offending line and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
@@ -193,6 +194,7 @@ def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservat
         schema = found
         p = schema.p
         areas = []
+        first_line = {}  # area_id -> line of its first row
         for row in reader:
             line = reader.line_num
             if row.get(None) is not None:
@@ -200,6 +202,12 @@ def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservat
             area_id = row.get("area_id")
             if area_id is None or area_id.strip() == "":
                 raise ParseError(f"row at line {line}: missing value in column 'area_id'")
+            if area_id in first_line:
+                raise ParseError(
+                    f"row at line {line}: duplicate area_id {area_id!r}, first "
+                    f"seen at line {first_line[area_id]}"
+                )
+            first_line[area_id] = line
 
             resp = _cell(row, schema.response_column, line)
             if schema.raw_response:

@@ -47,4 +47,10 @@ class PredictionOverflow(NumericalError):
 
     Results are reported as errors rather than silently saturated to 0 or
     inf, because a saturated prediction or variance term is meaningless.
+    ``index`` is the position of the first offending entry of the array
+    being exponentiated, so that a caller holding area ids can name it.
     """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .errors import SingularMomentMatrix
 from .model import ModelParams
 
 __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
@@ -71,16 +70,10 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
     out finite and positive; otherwise the system is reported singular.
     """
     arr = _arrays.stack(areas)
-    den = (
-        _arrays.quad_form(arr.sigma, params_current.beta)
-        + params_current.sigma2_nu
-        + arr.psi
+    weights = _arrays.moment_weights(
+        arr, params_current.beta, params_current.sigma2_nu
     )
-    if not np.all(den > 0.0) or not np.all(np.isfinite(den)):
-        raise SingularMomentMatrix(
-            "area weight denominators must be positive and finite"
-        )
-    return _arrays.weighted_solve(arr, 1.0 / den)
+    return _arrays.weighted_solve(arr, weights)
 
 
 def estimate_sigma2(areas, beta) -> tuple[float, bool]:
@@ -109,7 +102,7 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
     beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
         arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
     )
-    gammas = _arrays.gamma_vec(arr, beta, sigma2)
+    gammas = _arrays.gamma_vec(arr.sigma, arr.psi, beta, sigma2)
     gammas.setflags(write=False)
     return ModelFit(
         params=ModelParams(beta=beta, sigma2_nu=sigma2),

@@ -17,18 +17,21 @@ where the shrinkage weight is
 
 The best predictor of ``Y_i`` and the leading term of its prediction
 uncertainty are both log-normal moments of that conditional law; they are
-computed in log space here so that extreme but representable values do not
-overflow intermediate steps.
+computed in log space so that extreme but representable values do not
+overflow intermediate steps.  The arithmetic lives in `_arrays`; the
+functions here evaluate it on one area or on a stacked list of areas.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, NonPsdSigma, PredictionOverflow
+from . import _arrays
+from .errors import NonPsdSigma, PredictionOverflow
 
 __all__ = [
     "AreaObservation",
@@ -41,11 +44,6 @@ __all__ = [
     "m1_term",
     "predict_areas",
 ]
-
-# exp() stays inside double range only for exponents in [_EXP_MIN, _EXP_MAX].
-_EXP_MAX = 709.782712893384  # log(largest double)
-_EXP_MIN = -744.4400719213812  # log(smallest positive subnormal)
-
 
 def _readonly(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
@@ -167,21 +165,24 @@ class EbPrediction:
     m1: float
 
 
-def _exp_checked(exponent: float, context: str) -> float:
-    if exponent > _EXP_MAX or exponent < _EXP_MIN:
+def _moments(obs: AreaObservation, params: ModelParams, w=None):
+    # conditional (mean, variance, gamma) of one area, as length-1 arrays
+    w = obs.w if w is None else np.asarray(w, dtype=float)
+    arr = _arrays.build(
+        np.array([obs.z]), w[None, :], np.array([obs.psi]), obs.sigma_me[None]
+    )
+    return _arrays.conditional_moments(arr, params.beta, params.sigma2_nu)
+
+
+@contextmanager
+def _overflow_named(areas):
+    # the kernel reports an array index; name the area it belongs to
+    try:
+        yield
+    except PredictionOverflow as exc:
         raise PredictionOverflow(
-            f"{context}: exponent {exponent:.6g} is outside the representable "
-            f"range [{_EXP_MIN:.1f}, {_EXP_MAX:.1f}]"
-        )
-    return math.exp(exponent)
-
-
-def _log_expm1(a: float) -> float:
-    # log(e^a - 1) without overflow: exact for tiny a via expm1, and for
-    # large a via a + log(1 - e^-a).
-    if a < 1.0:
-        return math.log(math.expm1(a))
-    return a + math.log1p(-math.exp(-a))
+            f"{areas[exc.index].area_id}: {exc}", index=exc.index
+        ) from None
 
 
 def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> float:
@@ -209,16 +210,9 @@ def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> fl
         If numerator and ``psi`` are both zero: with every variance gone
         there is no weighting to define.
     """
-    sig = np.asarray(sigma_me, dtype=float)
-    quad = float(params.beta @ sig @ params.beta)
-    quad = max(quad, 0.0)  # PSD in exact arithmetic; guard roundoff
-    num = quad + params.sigma2_nu
-    den = num + float(psi)
-    if den <= 0.0:
-        raise DegenerateVariance(
-            "beta'sigma_me beta + sigma2_nu + psi is zero; shrinkage undefined"
-        )
-    return num / den
+    sig = np.asarray(sigma_me, dtype=float)[None]
+    psi_arr = np.array([psi], dtype=float)
+    return float(_arrays.gamma_vec(sig, psi_arr, params.beta, params.sigma2_nu)[0])
 
 
 def posterior_moments(
@@ -231,10 +225,10 @@ def posterior_moments(
     ``covariate`` selects the vector used in the regression part of the
     conditional mean; it defaults to the observed ``obs.w``.
     """
-    gamma = shrinkage_gamma(params, obs.sigma_me, obs.psi)
-    m = obs.w if covariate is None else np.asarray(covariate, dtype=float)
-    mean = gamma * obs.z + (1.0 - gamma) * float(m @ params.beta)
-    return PosteriorMoments(mean=mean, variance=gamma * obs.psi, gamma=gamma)
+    mean, var, gamma = _moments(obs, params, covariate)
+    return PosteriorMoments(
+        mean=float(mean[0]), variance=float(var[0]), gamma=float(gamma[0])
+    )
 
 
 def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
@@ -251,8 +245,9 @@ def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
         If the exponent leaves the representable double range.  The error
         is raised instead of returning ``inf`` or ``0.0``.
     """
-    mom = posterior_moments(obs, params)
-    return _exp_checked(mom.mean + 0.5 * mom.variance, obs.area_id)
+    mean, var, _ = _moments(obs, params)
+    with _overflow_named([obs]):
+        return float(_arrays.exp_checked(mean + 0.5 * var)[0])
 
 
 def m1_term(
@@ -268,22 +263,26 @@ def m1_term(
     the oracle version in a simulation).  Always non-negative, and zero
     exactly when ``gamma psi == 0``.
     """
-    gamma = shrinkage_gamma(params, obs.sigma_me, obs.psi)
-    a = gamma * obs.psi
-    if a == 0.0:
-        return 0.0
-    m = obs.w if covariate_in_use is None else np.asarray(covariate_in_use, dtype=float)
-    base = gamma * obs.z + (1.0 - gamma) * float(m @ params.beta)
-    return _exp_checked(a + _log_expm1(a) + 2.0 * base, obs.area_id)
+    mean, var, _ = _moments(obs, params, covariate_in_use)
+    with _overflow_named([obs]):
+        return float(_arrays.m1_from_moments(mean, var)[0])
+
+
+def _predict_stacked(areas, params: ModelParams):
+    # (predictions, m1, gamma) arrays from one kernel call over all areas
+    if not areas:
+        return np.empty(0), np.empty(0), np.empty(0)
+    with _overflow_named(areas):
+        return _arrays.predictions_and_m1(
+            _arrays.stack(areas), params.beta, params.sigma2_nu
+        )
 
 
 def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
     """Positive-scale predictions plus their leading uncertainty terms."""
+    areas = list(areas)
+    pred, m1, _ = _predict_stacked(areas, params)
     return [
-        EbPrediction(
-            area_id=obs.area_id,
-            prediction=eb_predict(obs, params),
-            m1=m1_term(obs, params),
-        )
-        for obs in areas
+        EbPrediction(area_id=obs.area_id, prediction=p, m1=v)
+        for obs, p, v in zip(areas, pred.tolist(), m1.tolist())
     ]

@@ -233,6 +233,67 @@ def test_numerical_error_exits_four(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "SingularMomentMatrix"
 
 
+def _predict_with_params(dataset, tmp_path, payload):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(payload))
+    code = main(
+        ["predict", str(dataset), "--params", str(params), "--out", str(tmp_path)]
+    )
+    return code, str(params)
+
+
+def test_params_beta_length_mismatch_exits_three(dataset, tmp_path, capsys):
+    code, path = _predict_with_params(
+        dataset, tmp_path, {"beta": [1.0, 2.0], "sigma2_nu": 0.5}
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert path in err["message"]
+    assert "2 coefficients" in err["message"] and "p=1" in err["message"]
+
+
+def test_params_negative_sigma2_exits_three(dataset, tmp_path, capsys):
+    code, path = _predict_with_params(
+        dataset, tmp_path, {"beta": [1.0], "sigma2_nu": -0.5}
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert path in err["message"] and "sigma2_nu" in err["message"]
+
+
+def test_predict_overflow_names_area_and_exits_four(tmp_path, capsys):
+    # psi = 0 gives gamma = 1, so area b's prediction exponent is its z
+    data = tmp_path / "big.csv"
+    data.write_text(
+        "area_id,z,w_1,psi,sme_diag_1\na,1,1,1,0\nb,800,1,0,0\nc,2,1,1,0\n"
+    )
+    code, _ = _predict_with_params(data, tmp_path, {"beta": [0.5], "sigma2_nu": 1.0})
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PredictionOverflow"
+    assert err["message"].startswith("b: exponent 800 ")
+
+
+def test_k_values_with_emse_or_mspe_is_usage_error(tmp_path):
+    for study in ("emse", "mspe"):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "simulate",
+                    "--study",
+                    study,
+                    "--k-values",
+                    "0",
+                    "20",
+                    "--out",
+                    str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+
+
 def test_bad_params_file_exits_three(dataset, tmp_path, capsys):
     params = tmp_path / "fit.json"
     params.write_text("{not json")

@@ -149,6 +149,11 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="expected"):
             load_dataset(path, schema=wanted)
 
+    def test_duplicate_area_id_names_both_lines(self, tmp_path):
+        text = "area_id,z,w_1,psi,sme_diag_1\na,1,1,1,0\nb,2,1,1,0\na,3,1,1,0\n"
+        with pytest.raises(ParseError, match=r"line 4: duplicate area_id 'a'.* line 2"):
+            load_dataset(write(tmp_path, text))
+
     def test_empty_file_and_header_only(self, tmp_path):
         with pytest.raises(ParseError, match="header"):
             load_dataset(write(tmp_path, ""))

@@ -77,13 +77,12 @@ class TestFit:
         assert result.params.sigma2_nu == pytest.approx(sigma2_o, rel=1e-8, abs=1e-12)
 
     def test_gammas_match_definition(self, gen):
-        from logsae.model import shrinkage_gamma
-
         z, w, psi, sigma = random_dataset(gen, m=15, p=1, with_sigma=True)
         areas = make_areas(z, w, psi, sigma)
         result = fit(areas)
+        beta, sigma2 = result.params.beta, result.params.sigma2_nu
         for i, a in enumerate(areas):
-            expect = shrinkage_gamma(result.params, a.sigma_me, a.psi)
+            expect = oracles.oracle_gamma(beta, a.sigma_me, a.psi, sigma2)
             assert result.gammas[i] == pytest.approx(expect, rel=1e-14)
 
     def test_idempotent_at_fixed_point(self, gen):

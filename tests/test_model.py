@@ -116,6 +116,16 @@ class TestEbPredict:
         with pytest.raises(PredictionOverflow):
             eb_predict(obs_1d(z=1e6, psi=0.5), params)
 
+    def test_overflow_message_names_the_area(self):
+        # psi = 0 gives gamma = 1, so the exponent is z itself
+        params = ModelParams(beta=np.array([0.0]), sigma2_nu=1.0)
+        areas = [obs_1d(z=1.0, area_id="a"), obs_1d(z=800.0, psi=0.0, area_id="b")]
+        with pytest.raises(PredictionOverflow, match=r"^b: exponent 800 "):
+            eb_predict(areas[1], params)
+        with pytest.raises(PredictionOverflow, match=r"^b: exponent 800 ") as exc:
+            predict_areas(areas, params)
+        assert exc.value.index == 1
+
     def test_predict_areas_keeps_order(self):
         params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
         areas = [obs_1d(z=float(i), area_id=f"id{i}") for i in range(5)]

@@ -99,10 +99,11 @@ class TestBootstrap:
 
         monkeypatch.setattr(mspe, "_refit", frozen)
         rows = bootstrap_mspe(areas, full, b=16, seed=3)
-        from logsae.model import m1_term
+        _, m1_oracle = oracles.oracle_predict(
+            z, w, psi, sigma, full.params.beta, full.params.sigma2_nu
+        )
 
-        for row, area in zip(rows, areas):
-            expect = m1_term(area, full.params)
+        for row, expect in zip(rows, m1_oracle):
             assert row.m1_bias_corrected == pytest.approx(expect, rel=1e-12)
             assert row.m2_star == pytest.approx(0.0, abs=1e-18)
             assert row.total == pytest.approx(expect, rel=1e-12)

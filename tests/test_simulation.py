@@ -7,15 +7,28 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from logsae import simulation as sim
 from logsae.estimation import FitConfig, fit
-from logsae.model import eb_predict
 
 
 def cfg(**kw):
     base = dict(m=10, k_percent=50.0, r_replications=4, b_bootstrap=4, seed=42)
     base.update(kw)
     return sim.SimulationConfig(**base)
+
+
+def oracle_eb(areas, params):
+    """EB predictions of the areas from the independent oracle."""
+    pred, _ = oracles.oracle_predict(
+        [a.z for a in areas],
+        np.array([a.w for a in areas]),
+        [a.psi for a in areas],
+        np.array([a.sigma_me for a in areas]),
+        params.beta,
+        params.sigma2_nu,
+    )
+    return pred
 
 
 class TestGenerator:
@@ -114,13 +127,13 @@ class TestEmseStudy:
         report = sim.run_emse_study(config)
         pop = sim.generate_population(config, 0)
         areas = [a.obs for a in pop]
-        params = fit(areas).params
+        preds = oracle_eb(areas, fit(areas).params)
         for i, row in enumerate(report.tables["per_area"]):
             direct = math.exp(areas[i].z)
             assert row["emse_direct"] == pytest.approx(
                 (direct - pop[i].Y) ** 2, rel=1e-12
             )
-            eb = eb_predict(areas[i], params)
+            eb = preds[i]
             assert row["emse_eb_full"] == pytest.approx(
                 (eb - pop[i].Y) ** 2, rel=1e-10
             )
@@ -163,8 +176,7 @@ class TestMspeStudy:
         for r in range(3):
             pop = sim.generate_population(config, r)
             areas = [a.obs for a in pop]
-            params = fit(areas).params
-            preds = np.array([eb_predict(a, params) for a in areas])
+            preds = oracle_eb(areas, fit(areas).params)
             sq += (preds - np.array([a.Y for a in pop])) ** 2
         emse = sq / 3
         for i, row in enumerate(report.tables["per_area"]):
