@@ -94,8 +94,10 @@ def moment_weights(arr: AreaArrays, beta: np.ndarray, sigma2: float) -> np.ndarr
     # D_i = 1 / (beta' sigma_i beta + sigma2 + psi_i)
     den = quad_form(arr.sigma, beta) + sigma2 + arr.psi
     if not np.all(den > 0.0) or not np.all(np.isfinite(den)):
+        i = int(np.argmax(~((den > 0.0) & np.isfinite(den))))
         raise SingularMomentMatrix(
-            "area weight denominators must be positive and finite"
+            f"area weight denominator {den[i]:.6g} must be positive and finite",
+            index=i,
         )
     return 1.0 / den
 
@@ -151,7 +153,8 @@ def gamma_vec(
     den = num + psi
     if np.any(den <= 0.0):
         raise DegenerateVariance(
-            "an area has beta'sigma_me beta + sigma2_nu + psi == 0"
+            "beta'sigma_me beta + sigma2_nu + psi == 0",
+            index=int(np.argmax(den <= 0.0)),
         )
     return num / den
 

@@ -160,6 +160,18 @@ def cmd_mspe(args) -> int:
     return 0
 
 
+def _write_report(report: simulation.SimulationReport, out: str) -> None:
+    out = _ensure_out(out)
+    dataio.write_json(report.to_json_dict(), os.path.join(out, "report.json"))
+    for name, rows in report.tables.items():
+        if rows:
+            dataio.write_csv(
+                os.path.join(out, f"{report.study}_{name}.csv"),
+                list(rows[0].keys()),
+                rows,
+            )
+
+
 def cmd_simulate(args) -> int:
     started = _utc_now()
     workers = parallel.resolve_workers(args.workers)
@@ -171,10 +183,16 @@ def cmd_simulate(args) -> int:
         b_bootstrap=args.b,
         seed=args.seed,
     )
-    if args.study == "emse":
-        report = simulation.run_emse_study(config, n_workers=workers)
-    elif args.study == "mspe":
-        report = simulation.run_mspe_study(config, n_workers=workers)
+    if args.study in ("emse", "mspe"):
+        run = {"emse": simulation.run_emse_study, "mspe": simulation.run_mspe_study}
+        # with --k-values, one run per k, each written as --k would into OUT/k<k>/
+        ks = args.k_values or [args.k]
+        cells = [dataclasses.replace(config, k_percent=k) for k in ks]
+        for cell in cells:
+            out = args.out
+            if args.k_values:
+                out = os.path.join(out, f"k{cell.k_percent:g}")
+            _write_report(run[args.study](cell, n_workers=workers), out)
     elif args.study == "zeros":
         report = simulation.zero_proportion_study(
             config,
@@ -182,6 +200,7 @@ def cmd_simulate(args) -> int:
             k_values=tuple(args.k_values or simulation.DEFAULT_K_GRID),
             n_workers=workers,
         )
+        _write_report(report, args.out)
     else:
         report = simulation.misspecification_study(
             config,
@@ -190,17 +209,9 @@ def cmd_simulate(args) -> int:
             k_values=args.k_values,
             n_workers=workers,
         )
-    out = _ensure_out(args.out)
-    dataio.write_json(report.to_json_dict(), os.path.join(out, "report.json"))
-    for name, rows in report.tables.items():
-        if rows:
-            dataio.write_csv(
-                os.path.join(out, f"{report.study}_{name}.csv"),
-                list(rows[0].keys()),
-                rows,
-            )
+        _write_report(report, args.out)
     _write_manifest(
-        args, out, dataclasses.asdict(config), config.seed, None, started, workers
+        args, args.out, dataclasses.asdict(config), config.seed, None, started, workers
     )
     return 0
 
@@ -256,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--k-values", type=float, nargs="+", default=None,
-        dest="k_values", help="k grid for the zeros/misspec studies",
+        dest="k_values",
+        help="k grid: the zeros and misspec studies report one row per k; "
+        "emse and mspe run once per k and write each report into OUT/k<k>/",
     )
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--out", default=".", help="output directory (default: .)")
@@ -269,11 +282,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["logsae", *argv]
-    if args.command == "simulate" and args.k_values and args.study in ("emse", "mspe"):
-        parser.error(
-            f"--k-values applies to the zeros and misspec studies, "
-            f"not to --study {args.study}; use --k"
-        )
     try:
         return args.func(args)
     except ValueError as exc:

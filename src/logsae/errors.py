@@ -31,7 +31,16 @@ class InsufficientAreas(DataError):
 
 
 class NumericalError(LogsaeError):
-    """A computation failed numerically."""
+    """A computation failed numerically.
+
+    ``index``, when set, is the position of the first offending entry of
+    the stacked area arrays the kernel was given, so that a caller holding
+    area ids can name the area.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateVariance(NumericalError):
@@ -47,10 +56,4 @@ class PredictionOverflow(NumericalError):
 
     Results are reported as errors rather than silently saturated to 0 or
     inf, because a saturated prediction or variance term is meaningless.
-    ``index`` is the position of the first offending entry of the array
-    being exponentiated, so that a caller holding area ids can name it.
     """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index

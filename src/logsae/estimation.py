@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .model import ModelParams
+from .model import ModelParams, _area_named
 
 __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
 
@@ -69,10 +69,12 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
     The weights ``D_i`` are computed from ``params_current`` and must come
     out finite and positive; otherwise the system is reported singular.
     """
+    areas = list(areas)
     arr = _arrays.stack(areas)
-    weights = _arrays.moment_weights(
-        arr, params_current.beta, params_current.sigma2_nu
-    )
+    with _area_named(areas):
+        weights = _arrays.moment_weights(
+            arr, params_current.beta, params_current.sigma2_nu
+        )
     return _arrays.weighted_solve(arr, weights)
 
 
@@ -98,11 +100,13 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
         If any weighted solve encounters a numerically singular system.
     """
     cfg = config if config is not None else FitConfig()
+    areas = list(areas)
     arr = _arrays.stack(areas)
-    beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
-        arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
-    )
-    gammas = _arrays.gamma_vec(arr.sigma, arr.psi, beta, sigma2)
+    with _area_named(areas):
+        beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
+            arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
+        )
+        gammas = _arrays.gamma_vec(arr.sigma, arr.psi, beta, sigma2)
     gammas.setflags(write=False)
     return ModelFit(
         params=ModelParams(beta=beta, sigma2_nu=sigma2),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .errors import NonPsdSigma, PredictionOverflow
+from .errors import NonPsdSigma, NumericalError
 
 __all__ = [
     "AreaObservation",
@@ -175,12 +175,14 @@ def _moments(obs: AreaObservation, params: ModelParams, w=None):
 
 
 @contextmanager
-def _overflow_named(areas):
+def _area_named(areas):
     # the kernel reports an array index; name the area it belongs to
     try:
         yield
-    except PredictionOverflow as exc:
-        raise PredictionOverflow(
+    except NumericalError as exc:
+        if exc.index is None:
+            raise
+        raise type(exc)(
             f"{areas[exc.index].area_id}: {exc}", index=exc.index
         ) from None
 
@@ -225,7 +227,8 @@ def posterior_moments(
     ``covariate`` selects the vector used in the regression part of the
     conditional mean; it defaults to the observed ``obs.w``.
     """
-    mean, var, gamma = _moments(obs, params, covariate)
+    with _area_named([obs]):
+        mean, var, gamma = _moments(obs, params, covariate)
     return PosteriorMoments(
         mean=float(mean[0]), variance=float(var[0]), gamma=float(gamma[0])
     )
@@ -245,8 +248,8 @@ def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
         If the exponent leaves the representable double range.  The error
         is raised instead of returning ``inf`` or ``0.0``.
     """
-    mean, var, _ = _moments(obs, params)
-    with _overflow_named([obs]):
+    with _area_named([obs]):
+        mean, var, _ = _moments(obs, params)
         return float(_arrays.exp_checked(mean + 0.5 * var)[0])
 
 
@@ -263,23 +266,27 @@ def m1_term(
     the oracle version in a simulation).  Always non-negative, and zero
     exactly when ``gamma psi == 0``.
     """
-    mean, var, _ = _moments(obs, params, covariate_in_use)
-    with _overflow_named([obs]):
+    with _area_named([obs]):
+        mean, var, _ = _moments(obs, params, covariate_in_use)
         return float(_arrays.m1_from_moments(mean, var)[0])
 
 
 def _predict_stacked(areas, params: ModelParams):
     # (predictions, m1, gamma) arrays from one kernel call over all areas
-    if not areas:
-        return np.empty(0), np.empty(0), np.empty(0)
-    with _overflow_named(areas):
+    with _area_named(areas):
         return _arrays.predictions_and_m1(
             _arrays.stack(areas), params.beta, params.sigma2_nu
         )
 
 
 def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
-    """Positive-scale predictions plus their leading uncertainty terms."""
+    """Positive-scale predictions plus their leading uncertainty terms.
+
+    Raises
+    ------
+    InsufficientAreas
+        If ``areas`` is empty.
+    """
     areas = list(areas)
     pred, m1, _ = _predict_stacked(areas, params)
     return [

@@ -35,6 +35,7 @@ from .errors import (
     SingularMomentMatrix,
 )
 from .estimation import FitConfig, ModelFit
+from .model import _area_named
 from .parallel import ordered_map, resolve_workers
 
 __all__ = ["JackknifeMspe", "BootstrapMspe", "jackknife_mspe", "bootstrap_mspe"]
@@ -87,6 +88,7 @@ def _loo_task(j, arr, beta_init, max_iterations, rel_tolerance):
             _arrays.drop_area(arr, j), beta_init, max_iterations, rel_tolerance
         )
     except SingularMomentMatrix as exc:
+        # no index: the refit's indices point into the reduced arrays
         raise SingularMomentMatrix(
             f"leave-one-out refit dropping area index {j} failed: {exc}"
         ) from exc
@@ -135,14 +137,15 @@ def jackknife_mspe(
     arr = _arrays.stack(areas)
     cfg = config if config is not None else FitConfig()
     workers = resolve_workers(n_workers)
-    m1_j, m2_j, nonconverged = jackknife_core(
-        arr,
-        full_fit.params.beta,
-        full_fit.params.sigma2_nu,
-        cfg.max_iterations,
-        cfg.rel_tolerance,
-        n_workers=workers,
-    )
+    with _area_named(areas):
+        m1_j, m2_j, nonconverged = jackknife_core(
+            arr,
+            full_fit.params.beta,
+            full_fit.params.sigma2_nu,
+            cfg.max_iterations,
+            cfg.rel_tolerance,
+            n_workers=workers,
+        )
     return [
         JackknifeMspe(
             area_id=a.area_id,
@@ -265,16 +268,17 @@ def bootstrap_mspe(
     arr = _arrays.stack(areas)
     cfg = config if config is not None else FitConfig()
     workers = resolve_workers(n_workers)
-    m1_bc, m2_star, used = bootstrap_core(
-        arr,
-        full_fit.params.beta,
-        full_fit.params.sigma2_nu,
-        b,
-        seed,
-        cfg.max_iterations,
-        cfg.rel_tolerance,
-        n_workers=workers,
-    )
+    with _area_named(areas):
+        m1_bc, m2_star, used = bootstrap_core(
+            arr,
+            full_fit.params.beta,
+            full_fit.params.sigma2_nu,
+            b,
+            seed,
+            cfg.max_iterations,
+            cfg.rel_tolerance,
+            n_workers=workers,
+        )
     totals = m1_bc + m2_star
     return [
         BootstrapMspe(

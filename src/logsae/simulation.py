@@ -202,35 +202,60 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else float("-inf")
 
 
-def _fit_args(fit_config: FitConfig | None) -> tuple[int, float]:
+def _guarded(fn, replicate, **kwargs):
+    # module level so that the pool can pickle it; a replicate that fails
+    # numerically comes back as None instead of aborting the map
+    try:
+        return fn(replicate, **kwargs)
+    except NumericalError:
+        return None
+
+
+def _run_cell(fn, cell: SimulationConfig, fit_config, n_workers, **kwargs):
+    """Run ``fn`` on every replicate of one (m, k) cell.
+
+    Returns the ``(replicate, result)`` pairs of the replicates that
+    succeeded, in replicate order, and the number that failed; raises
+    `NumericalError` naming the cell when every replicate failed.
+    """
     cfg = fit_config if fit_config is not None else FitConfig()
-    return cfg.max_iterations, cfg.rel_tolerance
+    task = partial(
+        _guarded,
+        fn,
+        config=cell,
+        max_iterations=cfg.max_iterations,
+        rel_tolerance=cfg.rel_tolerance,
+        **kwargs,
+    )
+    results = ordered_map(
+        task, range(cell.r_replications), resolve_workers(n_workers)
+    )
+    done = [(r, res) for r, res in enumerate(results) if res is not None]
+    if not done:
+        raise NumericalError(
+            f"every replicate failed at m={cell.m}, k={cell.k_percent:g}"
+        )
+    return done, cell.r_replications - len(done)
 
 
 # ---------------------------------------------------------------- accuracy
 
 
 def _emse_replicate(replicate, config, max_iterations, rel_tolerance):
-    try:
-        W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-        Y = _arrays.exp_checked(theta)
-        zero_sigma = np.zeros_like(sigma)
-        variants = {
-            "eb_true_covariate": _arrays.build(z, W, psi, zero_sigma),
-            "eb_sigma_ignored": _arrays.build(z, w, psi, zero_sigma),
-            "eb_full": _arrays.build(z, w, psi, sigma),
-        }
-        preds = {"direct": _arrays.exp_checked(z)}
-        for name, arr in variants.items():
-            beta, sigma2, _, _, _ = _arrays.fit_core(
-                arr, max_iterations, rel_tolerance
-            )
-            preds[name], _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-        pred_matrix = np.stack([preds[name] for name in EMSE_ESTIMATORS])
-        sq_err = (pred_matrix - Y) ** 2
-    except NumericalError:
-        return None
-    return sq_err, pred_matrix
+    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
+    Y = _arrays.exp_checked(theta)
+    zero_sigma = np.zeros_like(sigma)
+    variants = {
+        "eb_true_covariate": _arrays.build(z, W, psi, zero_sigma),
+        "eb_sigma_ignored": _arrays.build(z, w, psi, zero_sigma),
+        "eb_full": _arrays.build(z, w, psi, sigma),
+    }
+    preds = {"direct": _arrays.exp_checked(z)}
+    for name, arr in variants.items():
+        beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
+        preds[name], _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    pred_matrix = np.stack([preds[name] for name in EMSE_ESTIMATORS])
+    return (pred_matrix - Y) ** 2, pred_matrix
 
 
 def run_emse_study(
@@ -245,29 +270,14 @@ def run_emse_study(
     prediction fails numerically are dropped and counted.
     """
     t0 = time.perf_counter()
-    max_iterations, rel_tolerance = _fit_args(fit_config)
-    workers = resolve_workers(n_workers)
-    task = partial(
-        _emse_replicate,
-        config=config,
-        max_iterations=max_iterations,
-        rel_tolerance=rel_tolerance,
-    )
-    results = ordered_map(task, range(config.r_replications), workers)
+    done, failed = _run_cell(_emse_replicate, config, fit_config, n_workers)
     n_est = len(EMSE_ESTIMATORS)
     sq_sum = np.zeros((n_est, config.m))
     pred_sum = np.zeros((n_est, config.m))
-    completed = 0
-    for res in results:
-        if res is None:
-            continue
-        sq_err, pred_matrix = res
+    for _, (sq_err, pred_matrix) in done:
         sq_sum += sq_err
         pred_sum += pred_matrix
-        completed += 1
-    failed = config.r_replications - completed
-    if completed == 0:
-        raise NumericalError("every replicate failed; no study output")
+    completed = len(done)
     emse = sq_sum / completed  # (n_est, m)
     mean_pred = pred_sum / completed
     per_area = [
@@ -303,31 +313,22 @@ def run_emse_study(
 
 
 def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
-    try:
-        W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-        Y = _arrays.exp_checked(theta)
-        arr = _arrays.build(z, w, psi, sigma)
-        beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
-        pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-        sq_err = (pred - Y) ** 2
-        jk_m1, jk_m2, _ = jackknife_core(
-            arr, beta, sigma2, max_iterations, rel_tolerance
-        )
-        jk_total = jk_m1 + jk_m2
-        boot_seed = rng.derive_seed(config.seed, replicate)
-        bt_m1, bt_m2, _ = bootstrap_core(
-            arr,
-            beta,
-            sigma2,
-            config.b_bootstrap,
-            boot_seed,
-            max_iterations,
-            rel_tolerance,
-        )
-        bt_total = bt_m1 + bt_m2
-    except NumericalError:
-        return None
-    return sq_err, jk_total, bt_total
+    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
+    Y = _arrays.exp_checked(theta)
+    arr = _arrays.build(z, w, psi, sigma)
+    beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
+    pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    jk_m1, jk_m2, _ = jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance)
+    bt_m1, bt_m2, _ = bootstrap_core(
+        arr,
+        beta,
+        sigma2,
+        config.b_bootstrap,
+        rng.derive_seed(config.seed, replicate),
+        max_iterations,
+        rel_tolerance,
+    )
+    return (pred - Y) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2
 
 
 def run_mspe_study(
@@ -344,26 +345,14 @@ def run_mspe_study(
     values backs distributional plots.
     """
     t0 = time.perf_counter()
-    max_iterations, rel_tolerance = _fit_args(fit_config)
-    workers = resolve_workers(n_workers)
-    task = partial(
-        _mspe_replicate,
-        config=config,
-        max_iterations=max_iterations,
-        rel_tolerance=rel_tolerance,
-    )
-    results = ordered_map(task, range(config.r_replications), workers)
+    done, failed = _run_cell(_mspe_replicate, config, fit_config, n_workers)
     m = config.m
     sq_sum = np.zeros(m)
     jk_sum = np.zeros(m)
     bt_sum = np.zeros(m)
     bt_neg = np.zeros(m)
     replicate_rows = []
-    completed = 0
-    for r, res in enumerate(results):
-        if res is None:
-            continue
-        sq_err, jk_total, bt_total = res
+    for r, (sq_err, jk_total, bt_total) in done:
         sq_sum += sq_err
         jk_sum += jk_total
         bt_sum += bt_total
@@ -376,10 +365,7 @@ def run_mspe_study(
                 "mspe_bootstrap_area_mean": float(bt_total.mean()),
             }
         )
-        completed += 1
-    failed = config.r_replications - completed
-    if completed == 0:
-        raise NumericalError("every replicate failed; no study output")
+    completed = len(done)
     emse = sq_sum / completed
     jk_mean = jk_sum / completed
     bt_mean = bt_sum / completed
@@ -432,21 +418,16 @@ def run_mspe_study(
 
 
 def _zeros_replicate(replicate, config, max_iterations, rel_tolerance):
-    try:
-        W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-        zero_sigma = np.zeros_like(sigma)
-        flags = []
-        for arr in (
-            _arrays.build(z, w, psi, sigma),
-            _arrays.build(z, w, psi, zero_sigma),
-            _arrays.build(z, W, psi, zero_sigma),
-        ):
-            _, _, _, _, truncated = _arrays.fit_core(
-                arr, max_iterations, rel_tolerance
-            )
-            flags.append(truncated)
-    except NumericalError:
-        return None
+    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
+    zero_sigma = np.zeros_like(sigma)
+    flags = []
+    for arr in (
+        _arrays.build(z, w, psi, sigma),
+        _arrays.build(z, w, psi, zero_sigma),
+        _arrays.build(z, W, psi, zero_sigma),
+    ):
+        _, _, _, _, truncated = _arrays.fit_core(arr, max_iterations, rel_tolerance)
+        flags.append(truncated)
     return tuple(flags)
 
 
@@ -464,33 +445,19 @@ def zero_proportion_study(
     fit on the exactly observed covariate.
     """
     t0 = time.perf_counter()
-    max_iterations, rel_tolerance = _fit_args(fit_config)
-    workers = resolve_workers(n_workers)
     rows = []
     total_completed = 0
     total_failed = 0
     for m in m_values:
         for k in k_values:
             cell = dataclasses.replace(config, m=int(m), k_percent=float(k))
-            task = partial(
-                _zeros_replicate,
-                config=cell,
-                max_iterations=max_iterations,
-                rel_tolerance=rel_tolerance,
-            )
-            results = ordered_map(task, range(cell.r_replications), workers)
+            done, failed = _run_cell(_zeros_replicate, cell, fit_config, n_workers)
             counts = np.zeros(3)
-            completed = 0
-            for res in results:
-                if res is None:
-                    continue
-                counts += res
-                completed += 1
-            failed = cell.r_replications - completed
+            for _, flags in done:
+                counts += flags
+            completed = len(done)
             total_completed += completed
             total_failed += failed
-            if completed == 0:
-                raise NumericalError(f"every replicate failed at m={m}, k={k}")
             rows.append(
                 {
                     "m": int(m),
@@ -520,20 +487,13 @@ def zero_proportion_study(
 
 
 def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
-    try:
-        W, theta, z, w, psi, sigma, me_idx = _draw_population(config, replicate)
-        sigma_mis = np.zeros_like(sigma)
-        sigma_mis[me_idx] = float(d_mis) * np.eye(config.p)
-        arr_true = _arrays.build(z, w, psi, sigma)
-        arr_mis = _arrays.build(z, w, psi, sigma_mis)
-        beta_true_d, _, _, _, _ = _arrays.fit_core(
-            arr_true, max_iterations, rel_tolerance
-        )
-        beta_mis_d, _, _, _, _ = _arrays.fit_core(
-            arr_mis, max_iterations, rel_tolerance
-        )
-    except NumericalError:
-        return None
+    W, theta, z, w, psi, sigma, me_idx = _draw_population(config, replicate)
+    sigma_mis = np.zeros_like(sigma)
+    sigma_mis[me_idx] = float(d_mis) * np.eye(config.p)
+    arr_true = _arrays.build(z, w, psi, sigma)
+    arr_mis = _arrays.build(z, w, psi, sigma_mis)
+    beta_true_d, _, _, _, _ = _arrays.fit_core(arr_true, max_iterations, rel_tolerance)
+    beta_mis_d, _, _, _, _ = _arrays.fit_core(arr_mis, max_iterations, rel_tolerance)
     return float(beta_true_d[0]), float(beta_mis_d[0])
 
 
@@ -558,8 +518,6 @@ def misspecification_study(
     if d_true < 0.0 or d_mis < 0.0:
         raise ValueError("d_true and d_mis must be >= 0")
     t0 = time.perf_counter()
-    max_iterations, rel_tolerance = _fit_args(fit_config)
-    workers = resolve_workers(n_workers)
     if k_values is None:
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
@@ -568,30 +526,19 @@ def misspecification_study(
     total_failed = 0
     for k in k_values:
         cell = dataclasses.replace(config, d=float(d_true), k_percent=float(k))
-        task = partial(
-            _misspec_replicate,
-            config=cell,
-            d_mis=float(d_mis),
-            max_iterations=max_iterations,
-            rel_tolerance=rel_tolerance,
+        done, failed = _run_cell(
+            _misspec_replicate, cell, fit_config, n_workers, d_mis=float(d_mis)
         )
-        results = ordered_map(task, range(cell.r_replications), workers)
         diffs = []
         bias_true = []
         bias_mis = []
-        for res in results:
-            if res is None:
-                continue
-            bt, bm = res
+        for _, (bt, bm) in done:
             diffs.append(abs(bt - bm))
             bias_true.append(bt - beta_target)
             bias_mis.append(bm - beta_target)
-        completed = len(diffs)
-        failed = cell.r_replications - completed
+        completed = len(done)
         total_completed += completed
         total_failed += failed
-        if completed == 0:
-            raise NumericalError(f"every replicate failed at k={k}")
         rows.append(
             {
                 "k_percent": float(k),

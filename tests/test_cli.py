@@ -276,22 +276,73 @@ def test_predict_overflow_names_area_and_exits_four(tmp_path, capsys):
     assert err["message"].startswith("b: exponent 800 ")
 
 
-def test_k_values_with_emse_or_mspe_is_usage_error(tmp_path):
+def test_k_values_with_emse_or_mspe_writes_one_directory_per_k(tmp_path):
+    common = ["--m", "6", "--r", "2", "--b", "4", "--seed", "5"]
     for study in ("emse", "mspe"):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "simulate",
-                    "--study",
-                    study,
-                    "--k-values",
-                    "0",
-                    "20",
-                    "--out",
-                    str(tmp_path),
-                ]
+        grid = tmp_path / study / "grid"
+        args = ["simulate", "--study", study, *common]
+        assert main([*args, "--k-values", "0", "50", "--out", str(grid)]) == 0
+        assert (grid / "manifest.json").exists()
+        for k in ("0", "50"):
+            single = tmp_path / study / f"single{k}"
+            assert main([*args, "--k", k, "--out", str(single)]) == 0
+            results = sorted(
+                f.name for f in single.iterdir() if f.name != "manifest.json"
             )
-        assert exc.value.code == 2
+            assert sorted(f.name for f in (grid / f"k{k}").iterdir()) == results
+            for name in results:
+                assert (grid / f"k{k}" / name).read_bytes() == (
+                    single / name
+                ).read_bytes()
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text("area_id,z,w_1,psi,sme_diag_1\n" + text)
+    return path
+
+
+def test_degenerate_variance_names_area_and_exits_four(tmp_path, capsys):
+    # area b has psi = 0 and no covariate error, and sigma2_nu is 0
+    data = _write(tmp_path, "deg.csv", "a,1,1,0.5,0\nb,2,2,0,0\nc,1.5,1.2,0.4,0\n")
+    code, _ = _predict_with_params(data, tmp_path, {"beta": [1.0], "sigma2_nu": 0.0})
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateVariance"
+    assert err["message"].startswith("b: ")
+
+
+def test_zero_weight_denominator_names_area_and_exits_four(tmp_path, capsys):
+    # the variance moment truncates at 0, so area b's denominator is 0
+    rows = "a,1,1,0.5,0\nb,2,2,0,0\nc,1.5,1.5,0.4,0\nd,0.5,0.5,0.3,0\n"
+    data = _write(tmp_path, "den.csv", rows)
+    assert main(["fit", str(data), "--out", str(tmp_path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularMomentMatrix"
+    assert err["message"].startswith("b: area weight denominator 0 ")
+
+
+def test_mspe_overflow_names_area_and_exits_four(tmp_path, capsys):
+    data = _write(
+        tmp_path,
+        "big.csv",
+        "a,1,1,1,0\nb,800,1,0,0\nc,2,1.5,1,0\nd,1.5,2,1,0\ne,0.5,0.7,1,0\n",
+    )
+    code = main(
+        ["mspe", str(data), "--method", "jackknife", "--out", str(tmp_path)]
+    )
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PredictionOverflow"
+    assert err["message"].startswith("b: exponent 800 ")
+
+
+def test_predict_params_on_header_only_file_exits_three(tmp_path, capsys):
+    data = _write(tmp_path, "empty.csv", "")
+    code, _ = _predict_with_params(data, tmp_path, {"beta": [1.0], "sigma2_nu": 1.0})
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InsufficientAreas"
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def test_bad_params_file_exits_three(dataset, tmp_path, capsys):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from logsae import _arrays
 from logsae.errors import DegenerateVariance, NonPsdSigma, PredictionOverflow
 from logsae.model import (
     AreaObservation,
@@ -278,10 +279,21 @@ def test_eb_predict_shift_property(z, w, beta, sigma2, psi, c):
     psi=st.one_of(st.just(0.0), st.floats(1e-12, 10.0, **finite)),
     root=st.floats(0.0, 2.0, **finite),
 )
+# gamma psi is a nonzero subnormal here, so the m1 exponent is about -745.3
+@example(z=0.0, w=15.0, beta=-1.0, sigma2=2.225073858507e-311, psi=1.0, root=0.0)
 def test_m1_nonnegative_and_zero_iff_gamma_psi_zero(z, w, beta, sigma2, psi, root):
     params, obs = _params_obs(beta, sigma2, z, w, psi, root)
     num = beta * root * root * beta + sigma2
     assume(num + psi > 0.0)
+    moments = posterior_moments(obs, params)
+    var = np.array([moments.variance])
+    if var[0] > 0.0:
+        exponent = var[0] + _arrays.log_expm1(var)[0] + 2.0 * moments.mean
+        if exponent < _arrays._EXP_MIN:
+            # too small to represent: raised, not saturated to 0
+            with pytest.raises(PredictionOverflow):
+                m1_term(obs, params)
+            return
     m1 = m1_term(obs, params)
     assert m1 >= 0.0
     g = shrinkage_gamma(params, obs.sigma_me, psi)

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from logsae import simulation as sim
+from logsae.errors import NumericalError
 from logsae.estimation import FitConfig, fit
 
 
@@ -265,6 +266,31 @@ class TestMisspecificationStudy:
         config = cfg(beta_true=(1.0, 2.0))
         with pytest.raises(ValueError, match="single covariate"):
             sim.misspecification_study(config, d_true=2.0, d_mis=4.0)
+
+
+class TestFailedReplicates:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            sim.run_emse_study,
+            sim.run_mspe_study,
+            lambda c, n_workers: sim.zero_proportion_study(
+                c, m_values=(7,), k_values=(30.0,), n_workers=n_workers
+            ),
+            lambda c, n_workers: sim.misspecification_study(
+                c, d_true=2.0, d_mis=4.0, k_values=(30.0,), n_workers=n_workers
+            ),
+        ],
+        ids=["emse", "mspe", "zeros", "misspec"],
+    )
+    def test_every_replicate_failing_names_the_cell(self, monkeypatch, run):
+        def fail(config, replicate):
+            raise NumericalError("draw failed")
+
+        monkeypatch.setattr(sim, "_draw_population", fail)
+        message = r"^every replicate failed at m=7, k=30$"
+        with pytest.raises(NumericalError, match=message):
+            run(cfg(m=7, k_percent=30.0), n_workers=1)
 
 
 class TestDeterminism:
