@@ -175,9 +175,14 @@ def _write_report(report: simulation.SimulationReport, out: str) -> None:
 def cmd_simulate(args) -> int:
     started = _utc_now()
     workers = parallel.resolve_workers(args.workers)
+    zeros = args.study == "zeros"
+    m_values = args.m or (simulation.DEFAULT_M_GRID if zeros else [20])
+    k_values = args.k or (simulation.DEFAULT_K_GRID if zeros else [0.0])
+    if not zeros and len(m_values) > 1:
+        raise ValueError(f"--study {args.study} takes one --m, got {len(m_values)}")
     config = simulation.SimulationConfig(
-        m=args.m,
-        k_percent=args.k,
+        m=m_values[0],
+        k_percent=k_values[0],
         d=args.d,
         r_replications=args.r,
         b_bootstrap=args.b,
@@ -185,34 +190,27 @@ def cmd_simulate(args) -> int:
     )
     if args.study in ("emse", "mspe"):
         run = {"emse": simulation.run_emse_study, "mspe": simulation.run_mspe_study}
-        # with --k-values, one run per k, each written as --k would into OUT/k<k>/
-        ks = args.k_values or [args.k]
-        cells = [dataclasses.replace(config, k_percent=k) for k in ks]
-        for cell in cells:
+        # several k: one run per k, each written as a single k would be into OUT/k<k>/
+        for cell in simulation._grid(config, m_values, k_values):
             out = args.out
-            if args.k_values:
+            if len(k_values) > 1:
                 out = os.path.join(out, f"k{cell.k_percent:g}")
             _write_report(run[args.study](cell, n_workers=workers), out)
-    elif args.study == "zeros":
+    elif zeros:
         report = simulation.zero_proportion_study(
-            config,
-            m_values=tuple(args.m_values),
-            k_values=tuple(args.k_values or simulation.DEFAULT_K_GRID),
-            n_workers=workers,
+            config, m_values=m_values, k_values=k_values, n_workers=workers
         )
         _write_report(report, args.out)
     else:
         report = simulation.misspecification_study(
-            config,
-            d_true=args.d_true,
-            d_mis=args.d_mis,
-            k_values=args.k_values,
-            n_workers=workers,
+            config, args.d, args.d_mis, k_values=k_values, n_workers=workers
         )
         _write_report(report, args.out)
-    _write_manifest(
-        args, args.out, dataclasses.asdict(config), config.seed, None, started, workers
-    )
+    # config holds the first m and k only; the manifest lists every value run
+    ran = dataclasses.asdict(config) | {"m": m_values, "k_percent": k_values}
+    if args.study == "misspec":
+        ran["d_mis"] = args.d_mis
+    _write_manifest(args, args.out, ran, config.seed, None, started, workers)
     return 0
 
 
@@ -253,24 +251,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--study", choices=("emse", "mspe", "zeros", "misspec"), required=True
     )
-    p_sim.add_argument("--m", type=int, default=20)
-    p_sim.add_argument("--k", type=float, default=0.0, help="percent of areas with covariate error")
-    p_sim.add_argument("--d", type=float, default=2.0, help="measurement-error variance")
+    p_sim.add_argument(
+        "--m", type=int, nargs="+", default=None,
+        help="area counts (default: 20 50 100 500 for zeros, 20 for the others; "
+        "emse, mspe and misspec take one)",
+    )
+    p_sim.add_argument(
+        "--k", type=float, nargs="+", default=None,
+        help="percents of areas with covariate error (default: 0 20 50 80 100 for "
+        "zeros, 0 for the others); emse and mspe given several write one report "
+        "per k into OUT/k<k>/",
+    )
+    p_sim.add_argument(
+        "--d", type=float, default=2.0,
+        help="measurement-error variance the data are drawn with, in every study "
+        "(default: 2)",
+    )
     p_sim.add_argument("--r", type=int, default=1000, help="replications")
     p_sim.add_argument("--b", type=int, default=1000, help="bootstrap replicates per replication")
     p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--d-true", type=float, default=2.0, dest="d_true")
     p_sim.add_argument("--d-mis", type=float, default=4.0, dest="d_mis")
-    p_sim.add_argument(
-        "--m-values", type=int, nargs="+", default=list(simulation.DEFAULT_M_GRID),
-        dest="m_values", help="area counts for the zeros study",
-    )
-    p_sim.add_argument(
-        "--k-values", type=float, nargs="+", default=None,
-        dest="k_values",
-        help="k grid: the zeros and misspec studies report one row per k; "
-        "emse and mspe run once per k and write each report into OUT/k<k>/",
-    )
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--out", default=".", help="output directory (default: .)")
     p_sim.set_defaults(func=cmd_simulate)

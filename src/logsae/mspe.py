@@ -88,9 +88,9 @@ def _loo_task(j, arr, beta_init, max_iterations, rel_tolerance):
             _arrays.drop_area(arr, j), beta_init, max_iterations, rel_tolerance
         )
     except SingularMomentMatrix as exc:
-        # no index: the refit's indices point into the reduced arrays
+        # index j, not the refit's own: that one points into the reduced arrays
         raise SingularMomentMatrix(
-            f"leave-one-out refit dropping area index {j} failed: {exc}"
+            f"leave-one-out refit dropping this area failed: {exc}", index=j
         ) from exc
 
 

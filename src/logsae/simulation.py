@@ -238,6 +238,19 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, n_workers, **kwargs):
     return done, cell.r_replications - len(done)
 
 
+def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig]:
+    """The study's (m, k) cells, m-major; a repeated value is a usage error."""
+    for name, values in (("m", m_values), ("k", k_values)):
+        repeats = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeats:
+            raise ValueError(f"{name} value {repeats[0]:g} is repeated")
+    return [
+        dataclasses.replace(config, m=int(m), k_percent=float(k))
+        for m in m_values
+        for k in k_values
+    ]
+
+
 # ---------------------------------------------------------------- accuracy
 
 
@@ -442,38 +455,33 @@ def zero_proportion_study(
 
     One row per (m, k) cell with the truncation share for the
     error-aware fit, the fit that ignores the error covariance, and the
-    fit on the exactly observed covariate.
+    fit on the exactly observed covariate.  A repeated m or k raises
+    `ValueError` before any replicate runs.
     """
     t0 = time.perf_counter()
     rows = []
-    total_completed = 0
-    total_failed = 0
-    for m in m_values:
-        for k in k_values:
-            cell = dataclasses.replace(config, m=int(m), k_percent=float(k))
-            done, failed = _run_cell(_zeros_replicate, cell, fit_config, n_workers)
-            counts = np.zeros(3)
-            for _, flags in done:
-                counts += flags
-            completed = len(done)
-            total_completed += completed
-            total_failed += failed
-            rows.append(
-                {
-                    "m": int(m),
-                    "k_percent": float(k),
-                    "zero_sigma_aware": float(counts[0] / completed),
-                    "zero_sigma_ignored": float(counts[1] / completed),
-                    "zero_true_covariate": float(counts[2] / completed),
-                    "r_completed": completed,
-                    "r_failed": failed,
-                }
-            )
+    for cell in _grid(config, m_values, k_values):
+        done, failed = _run_cell(_zeros_replicate, cell, fit_config, n_workers)
+        counts = np.zeros(3)
+        for _, flags in done:
+            counts += flags
+        completed = len(done)
+        rows.append(
+            {
+                "m": cell.m,
+                "k_percent": cell.k_percent,
+                "zero_sigma_aware": float(counts[0] / completed),
+                "zero_sigma_ignored": float(counts[1] / completed),
+                "zero_true_covariate": float(counts[2] / completed),
+                "r_completed": completed,
+                "r_failed": failed,
+            }
+        )
     return SimulationReport(
         study="zeros",
         config=config,
-        r_completed=total_completed,
-        r_failed=total_failed,
+        r_completed=sum(row["r_completed"] for row in rows),
+        r_failed=sum(row["r_failed"] for row in rows),
         wall_clock_seconds=time.perf_counter() - t0,
         tables={"proportions": rows},
         summary={
@@ -522,10 +530,8 @@ def misspecification_study(
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
     rows = []
-    total_completed = 0
-    total_failed = 0
-    for k in k_values:
-        cell = dataclasses.replace(config, d=float(d_true), k_percent=float(k))
+    data_config = dataclasses.replace(config, d=float(d_true))
+    for cell in _grid(data_config, [config.m], k_values):
         done, failed = _run_cell(
             _misspec_replicate, cell, fit_config, n_workers, d_mis=float(d_mis)
         )
@@ -537,11 +543,9 @@ def misspecification_study(
             bias_true.append(bt - beta_target)
             bias_mis.append(bm - beta_target)
         completed = len(done)
-        total_completed += completed
-        total_failed += failed
         rows.append(
             {
-                "k_percent": float(k),
+                "k_percent": cell.k_percent,
                 "mean_abs_diff_x100": float(100.0 * np.mean(diffs)),
                 "bias_true_d_x100": float(100.0 * np.mean(bias_true)),
                 "bias_mis_d_x100": float(100.0 * np.mean(bias_mis)),
@@ -552,8 +556,8 @@ def misspecification_study(
     return SimulationReport(
         study="misspec",
         config=config,
-        r_completed=total_completed,
-        r_failed=total_failed,
+        r_completed=sum(row["r_completed"] for row in rows),
+        r_failed=sum(row["r_failed"] for row in rows),
         wall_clock_seconds=time.perf_counter() - t0,
         tables={"sensitivity": rows},
         summary={"d_true": float(d_true), "d_mis": float(d_mis)},

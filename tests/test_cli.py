@@ -178,11 +178,11 @@ def test_simulate_misspec_zero_row(tmp_path):
             "misspec",
             "--m",
             "8",
-            "--k-values",
+            "--k",
             "0",
             "--r",
             "3",
-            "--d-true",
+            "--d",
             "2",
             "--d-mis",
             "4",
@@ -281,7 +281,7 @@ def test_k_values_with_emse_or_mspe_writes_one_directory_per_k(tmp_path):
     for study in ("emse", "mspe"):
         grid = tmp_path / study / "grid"
         args = ["simulate", "--study", study, *common]
-        assert main([*args, "--k-values", "0", "50", "--out", str(grid)]) == 0
+        assert main([*args, "--k", "0", "50", "--out", str(grid)]) == 0
         assert (grid / "manifest.json").exists()
         for k in ("0", "50"):
             single = tmp_path / study / f"single{k}"
@@ -294,6 +294,62 @@ def test_k_values_with_emse_or_mspe_writes_one_directory_per_k(tmp_path):
                 assert (grid / f"k{k}" / name).read_bytes() == (
                     single / name
                 ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--study", "mspe", "--k", "50", "50"], "k value 50 is repeated"),
+        (["--study", "zeros", "--m", "8", "8"], "m value 8 is repeated"),
+    ],
+    ids=["k", "m"],
+)
+def test_simulate_repeated_grid_value_exits_two(tmp_path, capsys, grid, message):
+    out = tmp_path / "rep"
+    args = ["simulate", "--m", "6", "--r", "2", "--b", "4", *grid, "--out", str(out)]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+    assert not list(tmp_path.rglob("report.json"))
+
+
+@pytest.mark.parametrize("study", ["emse", "mspe", "misspec"])
+def test_simulate_several_m_outside_zeros_exits_two(tmp_path, capsys, study):
+    out = tmp_path / study
+    args = ["simulate", "--study", study, "--m", "8", "12", "--r", "2", "--b", "4"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert "takes one --m" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+def test_simulate_manifest_records_the_grid_run(tmp_path):
+    mspe_out = tmp_path / "mspe"
+    args = ["--m", "8", "--k", "20", "50", "--r", "2", "--b", "4"]
+    assert main(["simulate", "--study", "mspe", *args, "--out", str(mspe_out)]) == 0
+    config = json.loads((mspe_out / "manifest.json").read_text())["config"]
+    assert config["k_percent"] == [20.0, 50.0]
+    assert config["m"] == [8]
+    zeros_out = tmp_path / "zeros"
+    args = ["--study", "zeros", "--m", "8", "12", "--k", "0", "--r", "2"]
+    assert main(["simulate", *args, "--out", str(zeros_out)]) == 0
+    config = json.loads((zeros_out / "manifest.json").read_text())["config"]
+    assert config["m"] == [8, 12]
+    misspec_out = tmp_path / "misspec"
+    args = ["--study", "misspec", "--m", "8", "--k", "50", "--r", "2", "--d-mis", "3"]
+    assert main(["simulate", *args, "--out", str(misspec_out)]) == 0
+    assert json.loads((misspec_out / "manifest.json").read_text())["config"]["d_mis"] == 3.0
+
+
+def test_simulate_misspec_draws_the_data_with_d(tmp_path):
+    tables = []
+    for d in ("2", "3"):
+        out = tmp_path / f"d{d}"
+        args = ["--study", "misspec", "--m", "8", "--k", "50", "--r", "3", "--d", d]
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        tables.append((out / "misspec_sensitivity.csv").read_bytes())
+        assert json.loads((out / "report.json").read_text())["summary"]["d_true"] == float(d)
+    assert tables[0] != tables[1]
 
 
 def _write(tmp_path, name, text):
@@ -335,6 +391,20 @@ def test_mspe_overflow_names_area_and_exits_four(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "PredictionOverflow"
     assert err["message"].startswith("b: exponent 800 ")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_leave_one_out_refit_names_area_and_exits_four(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # dropping area a leaves a covariate column of zeros
+    data = _write(tmp_path, "loo.csv", "a,1,1,1,0\nb,2,0,1,0\nc,3,0,1,0\nd,1,0,1,0\n")
+    monkeypatch.setenv("LOGSAE_WORKERS", workers)
+    code = main(["mspe", str(data), "--method", "jackknife", "--out", str(tmp_path)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularMomentMatrix"
+    assert err["message"].startswith("a: leave-one-out refit dropping this area failed")
 
 
 def test_predict_params_on_header_only_file_exits_three(tmp_path, capsys):

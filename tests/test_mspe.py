@@ -84,8 +84,9 @@ class TestJackknife:
             raise SingularMomentMatrix("synthetic failure")
 
         monkeypatch.setattr(mspe, "_refit", boom)
-        with pytest.raises(SingularMomentMatrix, match="dropping area index 0"):
+        with pytest.raises(SingularMomentMatrix, match=f"^{areas[0].area_id}: ") as exc:
             jackknife_mspe(areas, full)
+        assert exc.value.index == 0
 
 
 class TestBootstrap:

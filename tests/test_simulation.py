@@ -268,6 +268,32 @@ class TestMisspecificationStudy:
             sim.misspecification_study(config, d_true=2.0, d_mis=4.0)
 
 
+class TestGrid:
+    def test_repeated_values_rejected_before_any_replicate(self, monkeypatch):
+        def fail(config, replicate):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "_draw_population", fail)
+        with pytest.raises(ValueError, match="k value 0 is repeated"):
+            sim.zero_proportion_study(
+                cfg(m=8), m_values=(8,), k_values=(0.0, 0.0), n_workers=1
+            )
+        with pytest.raises(ValueError, match="m value 8 is repeated"):
+            sim.zero_proportion_study(
+                cfg(m=8), m_values=(8, 8), k_values=(0.0,), n_workers=1
+            )
+        with pytest.raises(ValueError, match="k value 0 is repeated"):
+            sim.misspecification_study(
+                cfg(m=8), d_true=2.0, d_mis=4.0, k_values=[0.0, 0.0], n_workers=1
+            )
+
+    def test_cells_are_m_major(self):
+        cells = sim._grid(cfg(m=8), (8, 12), (0.0, 50.0))
+        assert [(c.m, c.k_percent) for c in cells] == [
+            (8, 0.0), (8, 50.0), (12, 0.0), (12, 50.0)
+        ]
+
+
 class TestFailedReplicates:
     @pytest.mark.parametrize(
         "run",
