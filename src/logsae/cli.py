@@ -131,13 +131,11 @@ def cmd_mspe(args) -> int:
     model_fit = fit(areas)
     out = _ensure_out(args.out)
     if args.method == "jackknife":
-        results = jackknife_mspe(areas, model_fit, n_workers=workers)
+        results = jackknife_mspe(areas, model_fit)
         fieldnames = ["area_id", "m1_j", "m2_j", "mspe", "loo_nonconverged"]
         seed = None
     else:
-        results = bootstrap_mspe(
-            areas, model_fit, b=args.b, seed=args.seed, n_workers=workers
-        )
+        results = bootstrap_mspe(areas, model_fit, b=args.b, seed=args.seed)
         fieldnames = [
             "area_id",
             "m1_bias_corrected",
@@ -244,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mspe.add_argument("--b", type=int, default=1000, help="bootstrap replicates")
     p_mspe.add_argument("--seed", type=int, default=1, help="bootstrap seed")
-    p_mspe.add_argument("--workers", type=int, default=None)
+    p_mspe.add_argument(
+        "--workers", type=int, default=None,
+        help="validated and recorded only: the refits run as one in-process batch",
+    )
     p_mspe.set_defaults(func=cmd_mspe)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study")

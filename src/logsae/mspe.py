@@ -24,19 +24,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import _arrays, rng
-from .errors import (
-    InsufficientAreas,
-    NumericalError,
-    SingularMomentMatrix,
-)
+from .errors import InsufficientAreas, SingularMomentMatrix
 from .estimation import FitConfig, ModelFit
 from .model import _area_named
-from .parallel import ordered_map, resolve_workers
 
 __all__ = ["JackknifeMspe", "BootstrapMspe", "jackknife_mspe", "bootstrap_mspe"]
 
@@ -74,48 +68,46 @@ class BootstrapMspe:
     negative: bool
 
 
-def _refit(arr, beta_init, max_iterations, rel_tolerance):
-    # seam shared by the leave-one-out and bootstrap paths (and by tests)
-    beta, sigma2, _, converged, _ = _arrays.fit_core(
-        arr, max_iterations, rel_tolerance, beta_init
+def _leave_one_out(arr, dropped):
+    """A batch of datasets: row r holds every area but area dropped[r]."""
+    kept = np.arange(arr.m - 1)
+    idx = kept + (kept >= np.asarray(dropped)[:, None])
+    return _arrays.AreaArrays(
+        z=arr.z[idx],
+        w=arr.w[idx],
+        psi=arr.psi[idx],
+        sigma=arr.sigma[idx],
+        moment=arr.moment[idx],
     )
-    return beta, sigma2, converged
 
 
-def _loo_task(j, arr, beta_init, max_iterations, rel_tolerance):
-    try:
-        return _refit(
-            _arrays.drop_area(arr, j), beta_init, max_iterations, rel_tolerance
-        )
-    except SingularMomentMatrix as exc:
-        # index j, not the refit's own: that one points into the reduced arrays
-        raise SingularMomentMatrix(
-            f"leave-one-out refit dropping this area failed: {exc}", index=j
-        ) from exc
-
-
-def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance, n_workers=1):
+def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
     m, p = arr.m, arr.p
     if m < p + 2:
         raise InsufficientAreas(f"jackknife needs at least {p + 2} areas, got {m}")
     pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    task = partial(
-        _loo_task,
-        arr=arr,
-        beta_init=beta,
-        max_iterations=max_iterations,
-        rel_tolerance=rel_tolerance,
-    )
-    fits = ordered_map(task, range(m), n_workers)
+    fits = []
+    for rows in _arrays.batches(m, m):
+        fit = _arrays.fit_batch(
+            _leave_one_out(arr, rows), max_iterations, rel_tolerance, beta
+        )
+        if fit.errors:
+            j = min(fit.errors)
+            exc = fit.errors[j]
+            raise SingularMomentMatrix(
+                f"leave-one-out refit dropping this area failed: {exc}",
+                index=rows[j],
+            ) from exc
+        fits.append((rows, fit))
     m1_loo = np.empty((m, m))
     pred_loo = np.empty((m, m))
     nonconverged = 0
-    for j, (beta_j, sigma2_j, converged_j) in enumerate(fits):
-        pred_j, m1_j, _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
-        m1_loo[:, j] = m1_j
-        pred_loo[:, j] = pred_j
-        if not converged_j:
-            nonconverged += 1
+    for rows, fit in fits:
+        pred_j, m1_j, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
+        _arrays.raise_first(errors)
+        m1_loo[:, rows.start : rows.stop] = m1_j.T
+        pred_loo[:, rows.start : rows.stop] = pred_j.T
+        nonconverged += int(np.count_nonzero(~fit.converged))
     factor = (m - 1.0) / m
     m1_corrected = m1_full - factor * np.sum(m1_full[:, None] - m1_loo, axis=1)
     m2 = factor * np.sum((pred_full[:, None] - pred_loo) ** 2, axis=1)
@@ -126,17 +118,16 @@ def jackknife_mspe(
     areas,
     full_fit: ModelFit,
     config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> list[JackknifeMspe]:
     """Leave-one-out MSPE estimates, one per area, in input order.
 
-    Each refit is warm-started at the full-data parameters.  A singular
-    leave-one-out system is an error identifying the offending area.
+    Each refit is warm-started at the full-data parameters; all m refits
+    run as one in-process batch.  A singular leave-one-out system is an
+    error identifying the offending area.
     """
     areas = list(areas)
     arr = _arrays.stack(areas)
     cfg = config if config is not None else FitConfig()
-    workers = resolve_workers(n_workers)
     with _area_named(areas):
         m1_j, m2_j, nonconverged = jackknife_core(
             arr,
@@ -144,7 +135,6 @@ def jackknife_mspe(
             full_fit.params.sigma2_nu,
             cfg.max_iterations,
             cfg.rel_tolerance,
-            n_workers=workers,
         )
     return [
         JackknifeMspe(
@@ -173,39 +163,31 @@ def _psd_factors(sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_starred(arr, factors, beta, sigma2, seed, r):
-    """Synthetic dataset for replicate r.
+def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
+    """Synthetic datasets for the given replicates, stacked on a leading axis.
 
-    Per area, in fixed row order: covariate noise (p draws), area effect,
-    sampling error.  The observed covariate stands in for the latent one
-    as the center of the starred covariate draw.
+    Replicate r draws from stream (seed, BOOTSTRAP, r), per area in fixed
+    row order: covariate noise (p draws), area effect, sampling error.
+    The observed covariate stands in for the latent one as the center of
+    the starred covariate draw.
     """
-    gen = rng.stream(seed, rng.BOOTSTRAP, r)
-    std = gen.standard_normal((arr.m, arr.p + 2))
-    w_star = arr.w + np.einsum("ipq,iq->ip", factors, std[:, : arr.p])
-    nu_star = math.sqrt(sigma2) * std[:, arr.p]
-    e_star = np.sqrt(arr.psi) * std[:, arr.p + 1]
-    z_star = w_star @ beta + nu_star + e_star
-    return z_star, w_star
+    m, p = arr.m, arr.p
+    std = np.stack(
+        [
+            rng.stream(seed, rng.BOOTSTRAP, r).standard_normal((m, p + 2))
+            for r in replicates
+        ]
+    )
+    w_star = arr.w + np.einsum("ipq,biq->bip", factors, std[..., :p])
+    nu_star = math.sqrt(sigma2) * std[..., p]
+    e_star = np.sqrt(arr.psi) * std[..., p + 1]
+    z_star = np.matmul(w_star, beta) + nu_star + e_star
+    return _arrays.build(z_star, w_star, arr.psi, arr.sigma)
 
 
-def _bootstrap_task(r, arr, factors, beta, sigma2, seed, max_iterations, rel_tolerance):
-    z_star, w_star = _draw_starred(arr, factors, beta, sigma2, seed, r)
-    starred = _arrays.build(z_star, w_star, arr.psi, arr.sigma)
-    try:
-        beta_star, sigma2_star, _ = _refit(
-            starred, beta, max_iterations, rel_tolerance
-        )
-        # starred parameters, original data
-        pred_star, m1_star, _ = _arrays.predictions_and_m1(arr, beta_star, sigma2_star)
-    except NumericalError:
-        return None
-    return m1_star, pred_star
-
-
-def bootstrap_core(
-    arr, beta, sigma2, b, seed, max_iterations, rel_tolerance, n_workers=1
-):
+def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
+    """Bias-corrected m1, m2* and the number of replicates used and, of
+    those, refits that stopped at the iteration cap."""
     m, p = arr.m, arr.p
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to refit, got {m}")
@@ -214,27 +196,26 @@ def bootstrap_core(
     rng.check_seed(seed)
     pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     factors = _psd_factors(arr.sigma)
-    task = partial(
-        _bootstrap_task,
-        arr=arr,
-        factors=factors,
-        beta=beta,
-        sigma2=sigma2,
-        seed=seed,
-        max_iterations=max_iterations,
-        rel_tolerance=rel_tolerance,
-    )
-    results = ordered_map(task, range(b), n_workers)
     sum_m1 = np.zeros(m)
     sum_sq = np.zeros(m)
     used = 0
-    for res in results:  # replicate order: a deterministic reduction
-        if res is None:
-            continue
-        m1_star, pred_star = res
-        sum_m1 += m1_star
-        sum_sq += (pred_star - pred_full) ** 2
-        used += 1
+    capped = 0
+    for replicates in _arrays.batches(b, m):
+        starred = _draw_starred(arr, factors, beta, sigma2, seed, replicates)
+        fit = _arrays.fit_batch(starred, max_iterations, rel_tolerance, beta)
+        refit = fit.ok
+        # starred parameters, original data; a failed check drops the replicate
+        pred_star, m1_star, _, errors = _arrays.predict_batch(
+            arr, fit.beta[refit], fit.sigma2[refit]
+        )
+        keep = np.ones(len(pred_star), dtype=bool)
+        keep[list(errors)] = False
+        for m1_r, pred_r in zip(m1_star[keep], pred_star[keep]):
+            # replicate order: a deterministic reduction
+            sum_m1 += m1_r
+            sum_sq += (pred_r - pred_full) ** 2
+        used += int(np.count_nonzero(keep))
+        capped += int(np.count_nonzero(~fit.converged[refit][keep]))
     if used == 0:
         raise SingularMomentMatrix(f"all {b} bootstrap replicates failed to refit")
     dropped = b - used
@@ -247,7 +228,7 @@ def bootstrap_core(
         )
     m1_bias_corrected = 2.0 * m1_full - sum_m1 / used
     m2_star = sum_sq / used
-    return m1_bias_corrected, m2_star, used
+    return m1_bias_corrected, m2_star, used, capped
 
 
 def bootstrap_mspe(
@@ -256,20 +237,20 @@ def bootstrap_mspe(
     b: int,
     seed: int,
     config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> list[BootstrapMspe]:
     """Parametric-bootstrap MSPE estimates, one per area, in input order.
 
-    Replicate draws are keyed by ``(seed, replicate)`` so output is
-    bit-reproducible for any worker count.  Replicates whose refit fails
-    are dropped and counted; the failure rate is logged.
+    Replicate draws are keyed by ``(seed, replicate)`` and the B refits
+    run as one in-process batch, so output is bit-reproducible.
+    Replicates whose refit fails are dropped and counted; the failure
+    rate is logged, and so is the number of refits used that stopped at
+    the iteration cap.
     """
     areas = list(areas)
     arr = _arrays.stack(areas)
     cfg = config if config is not None else FitConfig()
-    workers = resolve_workers(n_workers)
     with _area_named(areas):
-        m1_bc, m2_star, used = bootstrap_core(
+        m1_bc, m2_star, used, capped = bootstrap_core(
             arr,
             full_fit.params.beta,
             full_fit.params.sigma2_nu,
@@ -277,8 +258,9 @@ def bootstrap_mspe(
             seed,
             cfg.max_iterations,
             cfg.rel_tolerance,
-            n_workers=workers,
         )
+    if capped:
+        logger.warning("%d of %d bootstrap refits hit the iteration cap", capped, b)
     totals = m1_bc + m2_star
     return [
         BootstrapMspe(

@@ -169,7 +169,9 @@ class SimulationReport:
 
     ``wall_clock_seconds`` is the only non-deterministic field; the JSON
     form (`to_json_dict`) excludes it so that equal-seed runs serialize
-    identically.
+    identically.  ``grid`` holds the m and k values of a study run over
+    several (m, k) cells; they replace the single values of ``config`` in
+    the JSON form.
     """
 
     study: str
@@ -179,13 +181,14 @@ class SimulationReport:
     wall_clock_seconds: float
     tables: dict[str, list[dict]] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)
 
     @property
     def seed(self) -> int:
         return self.config.seed
 
     def to_json_dict(self) -> dict:
-        config = dataclasses.asdict(self.config)
+        config = dataclasses.asdict(self.config) | self.grid
         config["beta_true"] = list(config["beta_true"])
         return {
             "study": self.study,
@@ -332,7 +335,7 @@ def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
     beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
     pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     jk_m1, jk_m2, _ = jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance)
-    bt_m1, bt_m2, _ = bootstrap_core(
+    bt_m1, bt_m2, *_ = bootstrap_core(
         arr,
         beta,
         sigma2,
@@ -477,6 +480,7 @@ def zero_proportion_study(
                 "r_failed": failed,
             }
         )
+    grid = {"m": [int(m) for m in m_values], "k_percent": [float(k) for k in k_values]}
     return SimulationReport(
         study="zeros",
         config=config,
@@ -484,10 +488,8 @@ def zero_proportion_study(
         r_failed=sum(row["r_failed"] for row in rows),
         wall_clock_seconds=time.perf_counter() - t0,
         tables={"proportions": rows},
-        summary={
-            "m_values": [int(m) for m in m_values],
-            "k_values": [float(k) for k in k_values],
-        },
+        summary={"m_values": grid["m"], "k_values": grid["k_percent"]},
+        grid=grid,
     )
 
 
@@ -561,4 +563,5 @@ def misspecification_study(
         wall_clock_seconds=time.perf_counter() - t0,
         tables={"sensitivity": rows},
         summary={"d_true": float(d_true), "d_mis": float(d_mis)},
+        grid={"m": [config.m], "k_percent": [float(k) for k in k_values]},
     )

@@ -341,6 +341,24 @@ def test_simulate_manifest_records_the_grid_run(tmp_path):
     assert json.loads((misspec_out / "manifest.json").read_text())["config"]["d_mis"] == 3.0
 
 
+def test_simulate_report_records_the_grid_run(tmp_path):
+    zeros_out = tmp_path / "zeros"
+    args = ["--study", "zeros", "--m", "8", "12", "--k", "0", "50", "--r", "2"]
+    assert main(["simulate", *args, "--out", str(zeros_out)]) == 0
+    config = json.loads((zeros_out / "report.json").read_text())["config"]
+    assert config["m"] == [8, 12] and config["k_percent"] == [0.0, 50.0]
+    misspec_out = tmp_path / "misspec"
+    args = ["--study", "misspec", "--m", "8", "--k", "0", "50", "100", "--r", "2"]
+    assert main(["simulate", *args, "--out", str(misspec_out)]) == 0
+    config = json.loads((misspec_out / "report.json").read_text())["config"]
+    assert config["m"] == [8] and config["k_percent"] == [0.0, 50.0, 100.0]
+    mspe_out = tmp_path / "mspe"
+    args = ["--study", "mspe", "--m", "8", "--k", "20", "--r", "2", "--b", "4"]
+    assert main(["simulate", *args, "--out", str(mspe_out)]) == 0
+    config = json.loads((mspe_out / "report.json").read_text())["config"]
+    assert config["m"] == 8 and config["k_percent"] == 20.0
+
+
 def test_simulate_misspec_draws_the_data_with_d(tmp_path):
     tables = []
     for d in ("2", "3"):

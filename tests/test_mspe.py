@@ -1,5 +1,6 @@
 """Leave-one-out and parametric-bootstrap MSPE estimators."""
 
+import dataclasses
 import logging
 import math
 
@@ -8,9 +9,9 @@ import pytest
 
 import oracles
 from conftest import make_areas, random_dataset
-from logsae import mspe, rng
+from logsae import _arrays, mspe, rng
 from logsae.errors import InsufficientAreas, SingularMomentMatrix
-from logsae.estimation import fit
+from logsae.estimation import FitConfig, fit
 from logsae.mspe import bootstrap_mspe, jackknife_mspe
 
 
@@ -23,6 +24,18 @@ def small_dataset(seed=7, m=4):
     sigma[0, 0, 0] = 0.3
     sigma[2, 0, 0] = 0.15
     return z, w, psi, sigma
+
+
+def frozen_batch(n, beta, sigma2, errors=None):
+    # a refit batch whose every replicate returns the given parameters
+    return _arrays.BatchFit(
+        beta=np.tile(beta, (n, 1)),
+        sigma2=np.full(n, sigma2),
+        iterations=np.ones(n, dtype=int),
+        converged=np.ones(n, dtype=bool),
+        truncated=np.zeros(n, dtype=bool),
+        errors={} if errors is None else errors,
+    )
 
 
 class TestJackknife:
@@ -79,14 +92,19 @@ class TestJackknife:
         z, w, psi, sigma = small_dataset()
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
+        real = _arrays.fit_batch
 
-        def boom(arr, beta_init, max_iterations, rel_tolerance):
-            raise SingularMomentMatrix("synthetic failure")
+        def boom(arr, max_iterations, rel_tolerance, beta_init=None):
+            # the refits dropping areas 2 and 3 fail; the lower one is named
+            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            failures = {j: SingularMomentMatrix("synthetic failure") for j in (3, 2)}
+            return dataclasses.replace(result, errors=failures)
 
-        monkeypatch.setattr(mspe, "_refit", boom)
-        with pytest.raises(SingularMomentMatrix, match=f"^{areas[0].area_id}: ") as exc:
+        monkeypatch.setattr(_arrays, "fit_batch", boom)
+        with pytest.raises(SingularMomentMatrix, match=f"^{areas[2].area_id}: ") as exc:
             jackknife_mspe(areas, full)
-        assert exc.value.index == 0
+        assert exc.value.index == 2
+        assert "synthetic failure" in str(exc.value)
 
 
 class TestBootstrap:
@@ -95,10 +113,10 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def frozen(arr, beta_init, max_iterations, rel_tolerance):
-            return full.params.beta, full.params.sigma2_nu, True
+        def frozen(arr, max_iterations, rel_tolerance, beta_init=None):
+            return frozen_batch(len(arr.z), full.params.beta, full.params.sigma2_nu)
 
-        monkeypatch.setattr(mspe, "_refit", frozen)
+        monkeypatch.setattr(_arrays, "fit_batch", frozen)
         rows = bootstrap_mspe(areas, full, b=16, seed=3)
         _, m1_oracle = oracles.oracle_predict(
             z, w, psi, sigma, full.params.beta, full.params.sigma2_nu
@@ -143,12 +161,13 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def inflated(arr, beta_init, max_iterations, rel_tolerance):
+        def inflated(arr, max_iterations, rel_tolerance, beta_init=None):
             # starred params with a much larger variance blow up each
             # replicate's variance term, driving 2 M1 - mean below zero
-            return full.params.beta, full.params.sigma2_nu + 6.0, True
+            sigma2 = full.params.sigma2_nu + 6.0
+            return frozen_batch(len(arr.z), full.params.beta, sigma2)
 
-        monkeypatch.setattr(mspe, "_refit", inflated)
+        monkeypatch.setattr(_arrays, "fit_batch", inflated)
         rows = bootstrap_mspe(areas, full, b=8, seed=2)
         assert any(row.total < 0.0 for row in rows)
         for row in rows:
@@ -159,32 +178,51 @@ class TestBootstrap:
         z, w, psi, sigma = small_dataset(seed=13, m=5)
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
-        real = mspe._refit
-        calls = {"n": -1}
+        real = _arrays.fit_batch
 
-        def flaky(arr, beta_init, max_iterations, rel_tolerance):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise SingularMomentMatrix("synthetic failure")
-            return real(arr, beta_init, max_iterations, rel_tolerance)
+        def flaky(arr, max_iterations, rel_tolerance, beta_init=None):
+            # every third replicate fails; the rest refit for real
+            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            failures = {
+                r: SingularMomentMatrix("synthetic failure")
+                for r in range(0, len(arr.z), 3)
+            }
+            return dataclasses.replace(result, errors=failures)
 
-        monkeypatch.setattr(mspe, "_refit", flaky)
+        monkeypatch.setattr(_arrays, "fit_batch", flaky)
         with caplog.at_level(logging.WARNING, logger="logsae.mspe"):
             rows = bootstrap_mspe(areas, full, b=9, seed=1)
         assert all(row.b_replicates == 6 for row in rows)
-        assert any("9" in rec.message for rec in caplog.records)
+        assert any("dropped 3 of 9" in rec.message for rec in caplog.records)
 
     def test_all_failed_raises(self, monkeypatch):
         z, w, psi, sigma = small_dataset()
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def boom(arr, beta_init, max_iterations, rel_tolerance):
-            raise SingularMomentMatrix("synthetic failure")
+        def boom(arr, max_iterations, rel_tolerance, beta_init=None):
+            n = len(arr.z)
+            failures = {r: SingularMomentMatrix("synthetic failure") for r in range(n)}
+            return frozen_batch(n, full.params.beta, full.params.sigma2_nu, failures)
 
-        monkeypatch.setattr(mspe, "_refit", boom)
-        with pytest.raises(SingularMomentMatrix):
+        monkeypatch.setattr(_arrays, "fit_batch", boom)
+        with pytest.raises(SingularMomentMatrix, match="all 4 bootstrap replicates"):
             bootstrap_mspe(areas, full, b=4, seed=1)
+
+    def test_refits_at_the_iteration_cap_are_counted_and_logged(self, caplog):
+        z, w, psi, sigma = small_dataset(seed=5, m=6)
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        arr = _arrays.stack(areas)
+        beta, sigma2 = full.params.beta, full.params.sigma2_nu
+        result = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, 200, 1e-10)
+        assert result[2] == 10 and result[3] == 0
+        capped = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, 1, 1e-10)
+        assert capped[2] == 10 and capped[3] == 10
+        with caplog.at_level(logging.WARNING, logger="logsae.mspe"):
+            bootstrap_mspe(areas, full, b=10, seed=4, config=FitConfig(max_iterations=1))
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert "10 of 10 bootstrap refits hit the iteration cap" in messages
 
     def test_b_below_two_rejected(self):
         z, w, psi, sigma = small_dataset()
