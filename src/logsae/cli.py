@@ -193,15 +193,15 @@ def cmd_simulate(args) -> int:
             out = args.out
             if len(k_values) > 1:
                 out = os.path.join(out, f"k{cell.k_percent:g}")
-            _write_report(run[args.study](cell, n_workers=workers), out)
+            _write_report(run[args.study](cell), out)
     elif zeros:
         report = simulation.zero_proportion_study(
-            config, m_values=m_values, k_values=k_values, n_workers=workers
+            config, m_values=m_values, k_values=k_values
         )
         _write_report(report, args.out)
     else:
         report = simulation.misspecification_study(
-            config, args.d, args.d_mis, k_values=k_values, n_workers=workers
+            config, args.d, args.d_mis, k_values=k_values
         )
         _write_report(report, args.out)
     # config holds the first m and k only; the manifest lists every value run
@@ -272,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--b", type=int, default=1000, help="bootstrap replicates per replication")
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument("--d-mis", type=float, default=4.0, dest="d_mis")
-    p_sim.add_argument("--workers", type=int, default=None)
+    p_sim.add_argument(
+        "--workers", type=int, default=None,
+        help="validated and recorded only: the study runs in this process",
+    )
     p_sim.add_argument("--out", default=".", help="output directory (default: .)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -303,10 +304,15 @@ def write_csv(path, fieldnames, rows) -> None:
 
 
 def write_json(obj, path) -> None:
-    """Serialize with sorted keys; floats keep full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Serialize with sorted keys; floats keep full round-trip precision.
+    A value that cannot be serialized leaves no file behind."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except (TypeError, ValueError):
+        os.remove(path)  # json.dump streams: drop the part it wrote
+        raise
 
 
 def sha256_file(path) -> str:

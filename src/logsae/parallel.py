@@ -1,14 +1,13 @@
-"""Deterministic map over independent tasks.
+"""Worker-count validation and the replicate map.
 
-Results are gathered in task order and reduced sequentially by the caller,
-so the output is identical for any worker count.  The default worker count
-comes from the ``LOGSAE_WORKERS`` environment variable (1 if unset).
+Everything runs in the calling process.  ``--workers`` and the
+``LOGSAE_WORKERS`` environment variable are still validated here and
+recorded in ``manifest.json``; they change no result and no timing.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 ENV_WORKERS = "LOGSAE_WORKERS"
 
@@ -31,14 +30,7 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return n_workers
 
 
-def ordered_map(fn, items, n_workers: int = 1) -> list:
-    """Apply ``fn`` to every item, returning results in item order.
-
-    ``fn`` and the items must be picklable when ``n_workers > 1``.
-    """
-    items = list(items)
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (n_workers * 4))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+def ordered_map(fn, items) -> list:
+    """Apply ``fn`` to every item, returning results in item order."""
+    # kept until perfbench/layers.py stops tracing it
+    return [fn(item) for item in items]

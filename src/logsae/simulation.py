@@ -14,7 +14,8 @@ Four studies share one synthetic-population generator:
 
 Replicate r of a study is a pure function of (config, r): all draws come
 from streams keyed by (seed, purpose, r), so every study is
-bit-reproducible at any worker count.
+bit-reproducible.  The replicates run in turn in the calling process; the
+fit variants of one replicate run as one `_arrays.fit_batch` call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import NumericalError
 from .estimation import FitConfig
 from .model import AreaObservation
 from .mspe import bootstrap_core, jackknife_core
-from .parallel import ordered_map, resolve_workers
+from .parallel import ordered_map
 
 __all__ = [
     "SyntheticArea",
@@ -103,6 +103,9 @@ class SimulationConfig:
         rng.check_seed(self.seed)
         if self.covariate_var <= 0.0 or self.psi_shape <= 0.0 or self.psi_scale <= 0.0:
             raise ValueError("covariate_var, psi_shape, psi_scale must be > 0")
+        for name, value in dataclasses.asdict(self).items():  # nan passed the above
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def p(self) -> int:
@@ -205,16 +208,7 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else float("-inf")
 
 
-def _guarded(fn, replicate, **kwargs):
-    # module level so that the pool can pickle it; a replicate that fails
-    # numerically comes back as None instead of aborting the map
-    try:
-        return fn(replicate, **kwargs)
-    except NumericalError:
-        return None
-
-
-def _run_cell(fn, cell: SimulationConfig, fit_config, n_workers, **kwargs):
+def _run_cell(fn, cell: SimulationConfig, fit_config, **kwargs):
     """Run ``fn`` on every replicate of one (m, k) cell.
 
     Returns the ``(replicate, result)`` pairs of the replicates that
@@ -222,17 +216,17 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, n_workers, **kwargs):
     `NumericalError` naming the cell when every replicate failed.
     """
     cfg = fit_config if fit_config is not None else FitConfig()
-    task = partial(
-        _guarded,
-        fn,
-        config=cell,
-        max_iterations=cfg.max_iterations,
-        rel_tolerance=cfg.rel_tolerance,
-        **kwargs,
+    kwargs |= dict(
+        config=cell, max_iterations=cfg.max_iterations, rel_tolerance=cfg.rel_tolerance
     )
-    results = ordered_map(
-        task, range(cell.r_replications), resolve_workers(n_workers)
-    )
+
+    def task(replicate):
+        try:
+            return fn(replicate, **kwargs)
+        except NumericalError:  # the replicate counts as failed
+            return None
+
+    results = ordered_map(task, range(cell.r_replications))
     done = [(r, res) for r, res in enumerate(results) if res is not None]
     if not done:
         raise NumericalError(
@@ -254,30 +248,37 @@ def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig
     ]
 
 
+def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance):
+    """Fit one population's variants, each with its own covariates and
+    error covariances, as one batch; raise the lowest failing variant's error."""
+    arr = _arrays.build(np.stack([z] * len(ws)), np.stack(ws), psi, np.stack(sigmas))
+    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance)
+    _arrays.raise_first(fit.errors)
+    return arr, fit
+
+
 # ---------------------------------------------------------------- accuracy
 
 
 def _emse_replicate(replicate, config, max_iterations, rel_tolerance):
     W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
     Y = _arrays.exp_checked(theta)
+    direct = _arrays.exp_checked(z)
     zero_sigma = np.zeros_like(sigma)
-    variants = {
-        "eb_true_covariate": _arrays.build(z, W, psi, zero_sigma),
-        "eb_sigma_ignored": _arrays.build(z, w, psi, zero_sigma),
-        "eb_full": _arrays.build(z, w, psi, sigma),
-    }
-    preds = {"direct": _arrays.exp_checked(z)}
-    for name, arr in variants.items():
-        beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
-        preds[name], _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    pred_matrix = np.stack([preds[name] for name in EMSE_ESTIMATORS])
+    # the EB variants in EMSE_ESTIMATORS order: true covariate, Sigma
+    # ignored, full
+    arr, fit = _fit_variants(
+        z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma), max_iterations, rel_tolerance
+    )
+    pred, _, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
+    _arrays.raise_first(errors)
+    pred_matrix = np.vstack([direct, pred])
     return (pred_matrix - Y) ** 2, pred_matrix
 
 
 def run_emse_study(
     config: SimulationConfig,
     fit_config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> SimulationReport:
     """Empirical MSE of the four estimators over R replicates.
 
@@ -286,7 +287,7 @@ def run_emse_study(
     prediction fails numerically are dropped and counted.
     """
     t0 = time.perf_counter()
-    done, failed = _run_cell(_emse_replicate, config, fit_config, n_workers)
+    done, failed = _run_cell(_emse_replicate, config, fit_config)
     n_est = len(EMSE_ESTIMATORS)
     sq_sum = np.zeros((n_est, config.m))
     pred_sum = np.zeros((n_est, config.m))
@@ -350,7 +351,6 @@ def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
 def run_mspe_study(
     config: SimulationConfig,
     fit_config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> SimulationReport:
     """Relative bias of both MSPE estimators against the empirical MSE.
 
@@ -361,7 +361,7 @@ def run_mspe_study(
     values backs distributional plots.
     """
     t0 = time.perf_counter()
-    done, failed = _run_cell(_mspe_replicate, config, fit_config, n_workers)
+    done, failed = _run_cell(_mspe_replicate, config, fit_config)
     m = config.m
     sq_sum = np.zeros(m)
     jk_sum = np.zeros(m)
@@ -436,15 +436,11 @@ def run_mspe_study(
 def _zeros_replicate(replicate, config, max_iterations, rel_tolerance):
     W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
     zero_sigma = np.zeros_like(sigma)
-    flags = []
-    for arr in (
-        _arrays.build(z, w, psi, sigma),
-        _arrays.build(z, w, psi, zero_sigma),
-        _arrays.build(z, W, psi, zero_sigma),
-    ):
-        _, _, _, _, truncated = _arrays.fit_core(arr, max_iterations, rel_tolerance)
-        flags.append(truncated)
-    return tuple(flags)
+    # error-aware, Sigma ignored, true covariate
+    _, fit = _fit_variants(
+        z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma), max_iterations, rel_tolerance
+    )
+    return tuple(fit.truncated.tolist())
 
 
 def zero_proportion_study(
@@ -452,7 +448,6 @@ def zero_proportion_study(
     m_values=DEFAULT_M_GRID,
     k_values=DEFAULT_K_GRID,
     fit_config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> SimulationReport:
     """Share of replicates whose variance moment truncates at zero.
 
@@ -464,7 +459,7 @@ def zero_proportion_study(
     t0 = time.perf_counter()
     rows = []
     for cell in _grid(config, m_values, k_values):
-        done, failed = _run_cell(_zeros_replicate, cell, fit_config, n_workers)
+        done, failed = _run_cell(_zeros_replicate, cell, fit_config)
         counts = np.zeros(3)
         for _, flags in done:
             counts += flags
@@ -500,11 +495,10 @@ def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
     W, theta, z, w, psi, sigma, me_idx = _draw_population(config, replicate)
     sigma_mis = np.zeros_like(sigma)
     sigma_mis[me_idx] = float(d_mis) * np.eye(config.p)
-    arr_true = _arrays.build(z, w, psi, sigma)
-    arr_mis = _arrays.build(z, w, psi, sigma_mis)
-    beta_true_d, _, _, _, _ = _arrays.fit_core(arr_true, max_iterations, rel_tolerance)
-    beta_mis_d, _, _, _, _ = _arrays.fit_core(arr_mis, max_iterations, rel_tolerance)
-    return float(beta_true_d[0]), float(beta_mis_d[0])
+    _, fit = _fit_variants(
+        z, psi, (w, w), (sigma, sigma_mis), max_iterations, rel_tolerance
+    )
+    return float(fit.beta[0, 0]), float(fit.beta[1, 0])
 
 
 def misspecification_study(
@@ -513,7 +507,6 @@ def misspecification_study(
     d_mis: float,
     k_values=None,
     fit_config: FitConfig | None = None,
-    n_workers: int | None = None,
 ) -> SimulationReport:
     """Coefficient sensitivity to a wrong measurement-error variance.
 
@@ -525,8 +518,9 @@ def misspecification_study(
     """
     if config.p != 1:
         raise ValueError("misspecification_study supports a single covariate only")
-    if d_true < 0.0 or d_mis < 0.0:
-        raise ValueError("d_true and d_mis must be >= 0")
+    for name, value in (("d_true", d_true), ("d_mis", d_mis)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     t0 = time.perf_counter()
     if k_values is None:
         k_values = [config.k_percent]
@@ -535,7 +529,7 @@ def misspecification_study(
     data_config = dataclasses.replace(config, d=float(d_true))
     for cell in _grid(data_config, [config.m], k_values):
         done, failed = _run_cell(
-            _misspec_replicate, cell, fit_config, n_workers, d_mis=float(d_mis)
+            _misspec_replicate, cell, fit_config, d_mis=float(d_mis)
         )
         diffs = []
         bias_true = []

@@ -1,10 +1,16 @@
 """Command-line behavior: artifacts, exit codes, reruns."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_areas, random_dataset
+from logsae import cli, errors
 from logsae.cli import main
 from logsae.dataio import save_dataset, sha256_file
 
@@ -202,12 +208,61 @@ def test_usage_error_exits_two():
 
 
 def test_bad_config_value_exits_two(tmp_path, capsys):
-    code = main(
-        ["simulate", "--study", "emse", "--k", "150", "--out", str(tmp_path)]
-    )
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    cases = [
+        ("k_percent", "--study emse --k 150"),
+        ("d", "--study mspe --m 8 --k 0 --d nan --r 2 --b 4"),
+        ("d", "--study emse --m 8 --k 50 --d inf --r 3"),
+        ("d_mis", "--study misspec --m 8 --k 50 --d-mis nan --r 3"),
+    ]
+    for i, (field, argv) in enumerate(cases):
+        out = tmp_path / str(i)
+        code = main(["simulate", *argv.split(), "--out", str(out)])
+        assert code == 2, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{field} must"), argv
+        assert not (out / "report.json").exists(), argv
+
+
+EXIT_CODES = {
+    ValueError: 2,
+    errors.DataError: 3,
+    errors.ParseError: 3,
+    errors.NonPositiveValue: 3,
+    errors.NonPsdSigma: 3,
+    errors.InsufficientAreas: 3,
+    OSError: 3,
+    FileNotFoundError: 3,
+    PermissionError: 3,
+    errors.NumericalError: 4,
+    errors.DegenerateVariance: 4,
+    errors.SingularMomentMatrix: 4,
+    errors.PredictionOverflow: 4,
+}
+COMMANDS = {
+    "fit": "fit x.csv",
+    "predict": "predict x.csv",
+    "mspe": "mspe x.csv --method jackknife",
+    "simulate": "simulate --study zeros",
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    cls=st.sampled_from(list(EXIT_CODES)),
+    message=st.text(max_size=40),
+)
+def test_exit_code_depends_only_on_the_error_class(command, cls, message):
+    def raise_it(args):
+        raise cls(message)
+
+    stderr = io.StringIO()
+    with mock.patch.object(cli, f"cmd_{command}", raise_it):
+        with contextlib.redirect_stderr(stderr):
+            code = main(COMMANDS[command].split())
+    assert code == EXIT_CODES[cls]
+    assert json.loads(stderr.getvalue()) == {"error": cls.__name__, "message": message}
 
 
 def test_missing_file_exits_three(tmp_path, capsys):

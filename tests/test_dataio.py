@@ -1,9 +1,14 @@
 """Dataset parsing, canonical serialization, and the exact round trip."""
 
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_areas, random_dataset
 from logsae.dataio import (
@@ -13,6 +18,7 @@ from logsae.dataio import (
     save_dataset,
     sha256_file,
     write_csv,
+    write_json,
     write_manifest,
 )
 from logsae.errors import NonPositiveValue, NonPsdSigma, ParseError
@@ -184,6 +190,33 @@ class TestRoundTrip:
         assert sha256_file(p1) == sha256_file(p2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    p=st.integers(1, 3),
+    where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    bad=st.sampled_from(["", " ", "abc", "1.5.2", "nan", "inf", "-inf", "1e999"]),
+)
+def test_bad_cell_anywhere_names_its_line_and_column(seed, m, p, where, bad):
+    z, w, psi, sigma = random_dataset(np.random.default_rng(seed), m=m, p=p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "areas.csv")
+        save_dataset(make_areas(z, w, psi, sigma), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        row = min(int(where[0] * m), m - 1)
+        col = 1 + min(int(where[1] * (len(header) - 1)), len(header) - 2)
+        rows[row][col] = bad
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+    # the header is line 1
+    assert str(exc.value).startswith(f"row at line {row + 2}: ")
+    assert f"column {header[col]!r}" in str(exc.value)
+
+
 class TestWriteCsv:
     def test_formats_by_type(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -195,6 +228,20 @@ class TestWriteCsv:
         text = path.read_text()
         assert "0.33333333333333331" in text
         assert "true" in text and "3" in text
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, object()])
+    def test_unserializable_value_leaves_no_file(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises((TypeError, ValueError)):
+            write_json({"a": 1.0, "b": [2.0, bad]}, path)
+        assert not path.exists()
+
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json({"b": [0.1, 2], "a": "x"}, path)
+        assert path.read_text() == '{\n  "a": "x",\n  "b": [\n    0.1,\n    2\n  ]\n}\n'
 
 
 class TestManifest:

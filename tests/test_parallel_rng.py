@@ -1,8 +1,13 @@
-"""Keyed RNG streams and the ordered parallel map."""
+"""Keyed RNG streams, worker-count validation and the replicate map."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import logsae
 from logsae import rng
 from logsae.parallel import ENV_WORKERS, ordered_map, resolve_workers
 
@@ -63,6 +68,20 @@ class TestWorkers:
 
     def test_ordered_map_preserves_order(self):
         items = list(range(23))
-        serial = ordered_map(_cube, items, n_workers=1)
-        pooled = ordered_map(_cube, items, n_workers=3)
-        assert serial == pooled == [i**3 for i in items]
+        assert ordered_map(_cube, items) == [i**3 for i in items]
+
+
+def test_cli_import_loads_no_process_pool():
+    # everything runs in one process; importing a pool's modules would
+    # only add to every run's start-up time and peak memory
+    src = os.path.dirname(os.path.dirname(logsae.__file__))
+    code = (
+        "import sys, logsae.cli; "
+        "print(' '.join(m for m in ('concurrent.futures.process', "
+        "'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

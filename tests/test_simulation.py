@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from logsae import _arrays
 from logsae import simulation as sim
 from logsae.errors import NumericalError
 from logsae.estimation import FitConfig, fit
@@ -106,6 +107,24 @@ class TestConfigValidation:
             cfg(seed=-1)
         with pytest.raises(ValueError):
             cfg(covariate_var=0.0)
+        for field, value in [
+            ("d", math.nan),
+            ("d", math.inf),
+            ("sigma2_nu_true", math.nan),
+            ("covariate_mean", -math.inf),
+            ("covariate_var", math.nan),
+            ("psi_scale", math.inf),
+            ("beta_true", (1.0, math.nan)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["d_true", "d_mis"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_misspecification_variances_rejected_by_name(self, field, value):
+        kwargs = {"d_true": 2.0, "d_mis": 4.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            sim.misspecification_study(cfg(m=8), **kwargs)
 
     def test_replace_supported(self):
         c = cfg()
@@ -268,6 +287,79 @@ class TestMisspecificationStudy:
             sim.misspecification_study(config, d_true=2.0, d_mis=4.0)
 
 
+def _looped_emse(replicate, config, max_iterations, rel_tolerance):
+    W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
+    Y = _arrays.exp_checked(theta)
+    zero = np.zeros_like(sigma)
+    preds = [_arrays.exp_checked(z)]
+    for covariate, cov in ((W, zero), (w, zero), (w, sigma)):
+        arr = _arrays.build(z, covariate, psi, cov)
+        beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
+        preds.append(_arrays.predictions_and_m1(arr, beta, sigma2)[0])
+    pred = np.stack(preds)
+    return (pred - Y) ** 2, pred
+
+
+def _looped_zeros(replicate, config, max_iterations, rel_tolerance):
+    W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
+    zero = np.zeros_like(sigma)
+    flags = []
+    for covariate, cov in ((w, sigma), (w, zero), (W, zero)):
+        arr = _arrays.build(z, covariate, psi, cov)
+        flags.append(_arrays.fit_core(arr, max_iterations, rel_tolerance)[4])
+    return tuple(flags)
+
+
+def _looped_misspec(replicate, config, d_mis, max_iterations, rel_tolerance):
+    W, theta, z, w, psi, sigma, me_idx = sim._draw_population(config, replicate)
+    sigma_mis = np.zeros_like(sigma)
+    sigma_mis[me_idx] = d_mis * np.eye(config.p)
+    betas = []
+    for cov in (sigma, sigma_mis):
+        arr = _arrays.build(z, w, psi, cov)
+        betas.append(float(_arrays.fit_core(arr, max_iterations, rel_tolerance)[0][0]))
+    return tuple(betas)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "batched, looped, kwargs",
+    [
+        (sim._emse_replicate, _looped_emse, {}),
+        (sim._zeros_replicate, _looped_zeros, {}),
+        (sim._misspec_replicate, _looped_misspec, {"d_mis": 4.0}),
+    ],
+    ids=["emse", "zeros", "misspec"],
+)
+def test_batched_variants_match_fitting_them_one_at_a_time(batched, looped, kwargs):
+    # near-zero covariate and sampling variances: many replicates fail
+    config = cfg(
+        m=5,
+        d=1e-300,
+        sigma2_nu_true=0.0,
+        covariate_mean=0.0,
+        covariate_var=1e-200,
+        psi_shape=0.05,
+        psi_scale=1e-300,
+        seed=3,
+    )
+    kwargs = dict(kwargs, config=config, max_iterations=200, rel_tolerance=1e-10)
+    failed = 0
+    for r in range(40):
+        try:
+            expected = looped(r, **kwargs)
+        except NumericalError:
+            failed += 1
+            with pytest.raises(NumericalError):
+                batched(r, **kwargs)
+            continue
+        got = batched(r, **kwargs)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+    assert 10 <= failed <= 30
+
+
 class TestGrid:
     def test_repeated_values_rejected_before_any_replicate(self, monkeypatch):
         def fail(config, replicate):
@@ -275,16 +367,12 @@ class TestGrid:
 
         monkeypatch.setattr(sim, "_draw_population", fail)
         with pytest.raises(ValueError, match="k value 0 is repeated"):
-            sim.zero_proportion_study(
-                cfg(m=8), m_values=(8,), k_values=(0.0, 0.0), n_workers=1
-            )
+            sim.zero_proportion_study(cfg(m=8), m_values=(8,), k_values=(0.0, 0.0))
         with pytest.raises(ValueError, match="m value 8 is repeated"):
-            sim.zero_proportion_study(
-                cfg(m=8), m_values=(8, 8), k_values=(0.0,), n_workers=1
-            )
+            sim.zero_proportion_study(cfg(m=8), m_values=(8, 8), k_values=(0.0,))
         with pytest.raises(ValueError, match="k value 0 is repeated"):
             sim.misspecification_study(
-                cfg(m=8), d_true=2.0, d_mis=4.0, k_values=[0.0, 0.0], n_workers=1
+                cfg(m=8), d_true=2.0, d_mis=4.0, k_values=[0.0, 0.0]
             )
 
     def test_cells_are_m_major(self):
@@ -300,11 +388,9 @@ class TestFailedReplicates:
         [
             sim.run_emse_study,
             sim.run_mspe_study,
-            lambda c, n_workers: sim.zero_proportion_study(
-                c, m_values=(7,), k_values=(30.0,), n_workers=n_workers
-            ),
-            lambda c, n_workers: sim.misspecification_study(
-                c, d_true=2.0, d_mis=4.0, k_values=(30.0,), n_workers=n_workers
+            lambda c: sim.zero_proportion_study(c, m_values=(7,), k_values=(30.0,)),
+            lambda c: sim.misspecification_study(
+                c, d_true=2.0, d_mis=4.0, k_values=(30.0,)
             ),
         ],
         ids=["emse", "mspe", "zeros", "misspec"],
@@ -316,7 +402,7 @@ class TestFailedReplicates:
         monkeypatch.setattr(sim, "_draw_population", fail)
         message = r"^every replicate failed at m=7, k=30$"
         with pytest.raises(NumericalError, match=message):
-            run(cfg(m=7, k_percent=30.0), n_workers=1)
+            run(cfg(m=7, k_percent=30.0))
 
 
 class TestDeterminism:
@@ -325,12 +411,6 @@ class TestDeterminism:
         a = sim.run_mspe_study(config)
         b = sim.run_mspe_study(config)
         assert a.to_json_dict() == b.to_json_dict()
-
-    def test_worker_count_does_not_change_results(self):
-        config = cfg(m=7, k_percent=50.0, r_replications=4, b_bootstrap=4)
-        serial = sim.run_mspe_study(config, n_workers=1)
-        pooled = sim.run_mspe_study(config, n_workers=2)
-        assert serial.to_json_dict() == pooled.to_json_dict()
 
     def test_json_dict_excludes_wall_clock_and_serializes(self):
         report = sim.run_emse_study(cfg(m=6, r_replications=2))
