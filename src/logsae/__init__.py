@@ -8,7 +8,13 @@ raw-scale quantity, attaches leave-one-out and parametric-bootstrap MSPE
 estimates, and ships the Monte-Carlo studies used to validate them.
 """
 
-from .dataio import DatasetSchema, RunManifest, load_dataset, save_dataset
+from .dataio import (
+    DatasetSchema,
+    RunManifest,
+    load_arrays,
+    load_dataset,
+    save_dataset,
+)
 from .errors import (
     DataError,
     DegenerateVariance,
@@ -93,6 +99,7 @@ __all__ = [
     # dataio
     "DatasetSchema",
     "RunManifest",
+    "load_arrays",
     "load_dataset",
     "save_dataset",
 ]

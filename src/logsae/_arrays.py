@@ -1,6 +1,7 @@
 """Stacked-array kernels shared by the fitting, uncertainty and simulation
 code.  Internal: public modules validate `AreaObservation` lists once via
-`stack` and then work on plain ndarrays.
+`stack`, or parse a dataset file straight into `AreaArrays` with
+`dataio.load_arrays`, and then work on plain ndarrays.
 
 The fit and the predictions are batched: `fit_batch` runs B datasets and
 `predict_batch` B parameter sets along a leading axis.  A replicate that
@@ -170,16 +171,23 @@ def _weights(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
     """Moment weights D = 1 / (beta' sigma_i beta + sigma2 + psi_i) for
     betas (B, p), and {replicate: error}."""
     den = quad_form(batch.sigma, beta) + sigma2[:, None] + batch.psi
-    ok = (den > 0.0) & (den < np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = 1.0 / den
+    ok = (weights > 0.0) & (weights < np.inf)  # den > 0, finite and invertible
     errors = {}
     if not ok.all():
         for b, i in _first_flags(~ok):
-            errors[b] = SingularMomentMatrix(
-                f"area weight denominator {den[b, i]:.6g} must be positive and finite",
-                index=i,
+            value = den[b, i]
+            problem = (
+                "has no finite reciprocal"
+                if 0.0 < value < np.inf
+                else "must be positive and finite"
             )
-        den = np.where(ok, den, 1.0)
-    return 1.0 / den, errors
+            errors[b] = SingularMomentMatrix(
+                f"area weight denominator {value:.6g} {problem}", index=i
+            )
+        weights = np.where(ok, weights, 1.0)
+    return weights, errors
 
 
 def _sigma2(batch: AreaArrays, beta: np.ndarray):

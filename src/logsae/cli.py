@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__, dataio, parallel, simulation
 from .errors import DataError, NumericalError, ParseError
-from .estimation import ModelFit, fit
-from .model import ModelParams, _predict_stacked
-from .mspe import bootstrap_mspe, jackknife_mspe
+from .estimation import ModelFit, _fit_arrays
+from .model import ModelParams, _predict_arrays
+from .mspe import _bootstrap_arrays, _jackknife_arrays
 
 
 def _utc_now() -> str:
@@ -47,12 +47,12 @@ def _write_manifest(args, out, config: dict, seed, input_path, started_at, n_wor
     dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
 
 
-def _write_fit(model_fit: ModelFit, areas, out) -> None:
+def _write_fit(model_fit: ModelFit, ids, out) -> None:
     fit_dict = {
-        "beta": [float(b) for b in model_fit.params.beta],
+        "beta": model_fit.params.beta.tolist(),
         "sigma2_nu": float(model_fit.params.sigma2_nu),
-        "gammas": [float(g) for g in model_fit.gammas],
-        "area_ids": [a.area_id for a in areas],
+        "gammas": model_fit.gammas.tolist(),
+        "area_ids": ids,
         "iterations_used": model_fit.iterations_used,
         "converged": model_fit.converged,
         "sigma2_truncated": model_fit.sigma2_truncated,
@@ -60,7 +60,9 @@ def _write_fit(model_fit: ModelFit, areas, out) -> None:
     dataio.write_json(fit_dict, os.path.join(out, "fit.json"))
 
 
-def _load_params(path, areas) -> ModelParams:
+def _load_params(path, p) -> ModelParams:
+    """The parameters of a fit.json; ``p``, unless None, is the dataset's
+    covariate count, which ``beta`` must match."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -78,20 +80,20 @@ def _load_params(path, areas) -> ModelParams:
         params = ModelParams(beta=beta, sigma2_nu=sigma2)
     except ValueError as exc:
         raise ParseError(f"parameter file {path!r}: {exc}") from None
-    if areas and params.p != areas[0].p:
+    if p is not None and params.p != p:
         raise ParseError(
             f"parameter file {path!r} has {params.p} coefficients in 'beta', "
-            f"but the dataset has p={areas[0].p} covariates"
+            f"but the dataset has p={p} covariates"
         )
     return params
 
 
 def cmd_fit(args) -> int:
     started = _utc_now()
-    areas = dataio.load_dataset(args.dataset)
-    model_fit = fit(areas)
+    ids, arr = dataio.load_arrays(args.dataset)
+    model_fit = _fit_arrays(arr, ids)
     out = _ensure_out(args.out)
-    _write_fit(model_fit, areas, out)
+    _write_fit(model_fit, ids, out)
     config = {"dataset": args.dataset}
     _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
@@ -99,26 +101,20 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     started = _utc_now()
-    areas = dataio.load_dataset(args.dataset)
+    ids, arr = dataio.load_arrays(args.dataset)
     if args.params:
-        params = _load_params(args.params, areas)
+        # an empty dataset fails as InsufficientAreas whatever its header's p
+        params = _load_params(args.params, arr.p if arr.m else None)
         model_fit = None
     else:
-        model_fit = fit(areas)
+        model_fit = _fit_arrays(arr, ids)
         params = model_fit.params
-    pred, m1, gamma = _predict_stacked(areas, params)
-    rows = [
-        {"area_id": a.area_id, "prediction": p, "m1": v, "gamma": g}
-        for a, p, v, g in zip(areas, pred.tolist(), m1.tolist(), gamma.tolist())
-    ]
+    pred, m1, gamma = _predict_arrays(arr, ids, params)
     out = _ensure_out(args.out)
-    dataio.write_csv(
-        os.path.join(out, "predictions.csv"),
-        ["area_id", "prediction", "m1", "gamma"],
-        rows,
-    )
+    columns = {"area_id": ids, "prediction": pred, "m1": m1, "gamma": gamma}
+    dataio.write_csv(os.path.join(out, "predictions.csv"), list(columns), columns)
     if model_fit is not None:
-        _write_fit(model_fit, areas, out)
+        _write_fit(model_fit, ids, out)
     config = {"dataset": args.dataset, "params": args.params}
     _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
@@ -126,16 +122,16 @@ def cmd_predict(args) -> int:
 
 def cmd_mspe(args) -> int:
     started = _utc_now()
-    areas = dataio.load_dataset(args.dataset)
+    ids, arr = dataio.load_arrays(args.dataset)
     workers = parallel.resolve_workers(args.workers)
-    model_fit = fit(areas)
+    model_fit = _fit_arrays(arr, ids)
     out = _ensure_out(args.out)
     if args.method == "jackknife":
-        results = jackknife_mspe(areas, model_fit)
+        results = _jackknife_arrays(arr, ids, model_fit)
         fieldnames = ["area_id", "m1_j", "m2_j", "mspe", "loo_nonconverged"]
         seed = None
     else:
-        results = bootstrap_mspe(areas, model_fit, b=args.b, seed=args.seed)
+        results = _bootstrap_arrays(arr, ids, model_fit, args.b, args.seed)
         fieldnames = [
             "area_id",
             "m1_bias_corrected",
@@ -148,7 +144,7 @@ def cmd_mspe(args) -> int:
     # the CSV's "mspe" column is each record's total
     rows = [{**dataclasses.asdict(r), "mspe": r.total} for r in results]
     dataio.write_csv(os.path.join(out, "mspe.csv"), fieldnames, rows)
-    _write_fit(model_fit, areas, out)
+    _write_fit(model_fit, ids, out)
     config = {
         "dataset": args.dataset,
         "method": args.method,

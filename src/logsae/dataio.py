@@ -29,12 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveValue, NonPsdSigma, ParseError
-from .model import AreaObservation
+from . import _arrays
+from .errors import NonPositiveValue, ParseError
+from .model import AreaObservation, _check_psd
 
 __all__ = [
     "DatasetSchema",
     "RunManifest",
+    "load_arrays",
     "load_dataset",
     "save_dataset",
     "write_csv",
@@ -160,21 +162,158 @@ class DatasetSchema:
         return cls(p=p, response_column=response, covariate_prefix=prefix, sme_form=form)
 
 
-def _cell(row: dict, column: str, line: int) -> float:
-    raw = row.get(column)
-    if raw is None or raw.strip() == "":
-        raise ParseError(f"row at line {line}: missing value in column {column!r}")
+def _cell_error(raw: str, column: str, line: int) -> ParseError:
+    """The error for a cell that does not hold a finite number."""
+    if raw.strip() == "":
+        return ParseError(f"row at line {line}: missing value in column {column!r}")
     try:
-        value = float(raw)
+        float(raw)
     except ValueError:
-        raise ParseError(
+        return ParseError(
             f"row at line {line}: column {column!r} is not a number: {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(
-            f"row at line {line}: column {column!r} must be finite, got {raw!r}"
         )
-    return value
+    return ParseError(
+        f"row at line {line}: column {column!r} must be finite, got {raw!r}"
+    )
+
+
+def _floats(cells) -> np.ndarray:
+    """float() of each cell; NaN where a cell is not a number."""
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        out = np.full(len(cells), np.nan)
+        for i, cell in enumerate(cells):
+            try:
+                out[i] = float(cell)
+            except ValueError:
+                pass
+        return out
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    # math.log per value: np.log differs from it in the last bit on some inputs
+    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
+
+
+def load_arrays(path, schema: DatasetSchema | None = None):
+    """Parse a dataset CSV into ``(ids, AreaArrays)``, in file order.
+
+    ``ids`` is the list of area ids; the arrays hold ``z`` (m,), ``w``
+    (m, p), ``psi`` (m,) and ``sigma`` (m, p, p) on the log scale, with
+    raw-scale values (y, x_j) logged after a strict positivity check.  A
+    ``schema`` argument, when given, must match the header exactly.
+    Every row gets the checks of `load_dataset`, run column by column;
+    the error raised is the one for the first bad line, and within that
+    line for the first failed check in the order: cell count, area_id
+    (missing, then repeated), then each column of the schema (response,
+    covariates, psi, covariance entries) with its range check, and last
+    the covariance's symmetric-PSD test.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        found = DatasetSchema.from_fieldnames(header)
+        if schema is not None and schema != found:
+            raise ParseError(f"header declares schema {found}, expected {schema}")
+        schema = found
+        rows, lines = [], []
+        for row in reader:
+            if row:  # blank lines are skipped
+                rows.append(row)
+                lines.append(reader.line_num)
+    m, n, p = len(rows), len(header), schema.p
+    checks = []  # (bad rows, error for a row), in the order a row is checked
+
+    def check(bad, error):
+        checks.append((bad, error))
+
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=m)
+    check(
+        lengths > n,
+        lambda i: ParseError(f"row at line {lines[i]}: more cells than header columns"),
+    )
+    if (lengths != n).any():  # a missing cell reads as an empty one
+        rows = [(row + [""] * (n - len(row)))[:n] for row in rows]
+    columns = dict(zip(header, zip(*rows) if m else [()] * n))
+    ids = list(columns["area_id"])
+    missing = np.zeros(m, dtype=bool)
+    if not all(map(str.strip, ids)):
+        missing = np.array([not a.strip() for a in ids])
+    check(
+        missing,
+        lambda i: ParseError(
+            f"row at line {lines[i]}: missing value in column 'area_id'"
+        ),
+    )
+    first_row = {}  # area_id -> row of its first occurrence
+    repeated = np.zeros(m, dtype=bool)
+    if len(set(ids)) < m:
+        for i, area_id in enumerate(ids):
+            repeated[i] = first_row.setdefault(area_id, i) != i
+    check(
+        repeated,
+        lambda i: ParseError(
+            f"row at line {lines[i]}: duplicate area_id {ids[i]!r}, first "
+            f"seen at line {lines[first_row[ids[i]]]}"
+        ),
+    )
+
+    def number(column):
+        values = _floats(columns[column])
+        check(
+            ~np.isfinite(values),
+            lambda i: _cell_error(columns[column][i], column, lines[i]),
+        )
+        return values
+
+    def positive(column):
+        values = number(column)
+        check(
+            values <= 0.0,
+            lambda i: NonPositiveValue(
+                f"row at line {lines[i]}: column {column!r} must be > 0 to take "
+                f"its log, got {float(values[i])!r}"
+            ),
+        )
+        return values
+
+    read = positive if schema.raw_response else number
+    response = read(schema.response_column)
+    read = positive if schema.raw_covariates else number
+    covariates = [read(column) for column in schema.covariate_columns]
+    psi = number("psi")
+    check(
+        psi < 0.0,
+        lambda i: ParseError(
+            f"row at line {lines[i]}: column 'psi' must be >= 0, "
+            f"got {float(psi[i])!r}"
+        ),
+    )
+    sigma = np.zeros((m, p, p))
+    if schema.sme_form == "diag":
+        for j, column in enumerate(schema.sme_columns):
+            sigma[:, j, j] = number(column)
+    else:
+        for j in range(p):
+            for k in range(j + 1):
+                sigma[:, j, k] = sigma[:, k, j] = number(f"sme_{j + 1}_{k + 1}")
+
+    # the first failed check of the first bad row; a covariance is checked
+    # last in its row, so only the rows before that one need the PSD test
+    failed = [
+        (int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()
+    ]
+    row, k = min(failed, default=(m, None))
+    _check_psd(sigma[:row], lambda i: f"row at line {lines[i]}: {ids[i]}")
+    if k is not None:
+        raise checks[k][1](row)
+
+    z = _logs(response) if schema.raw_response else response
+    w = np.empty((m, p))
+    for j, values in enumerate(covariates):
+        w[:, j] = _logs(values) if schema.raw_covariates else values
+    return ids, _arrays.build(z, w, psi, sigma)
 
 
 def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservation]:
@@ -183,81 +322,15 @@ def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservat
     Raw-scale values (y, x_j) are log-transformed after a strict
     positivity check.  A ``schema`` argument, when given, must match the
     header exactly.  Area ids must be unique.  Errors pinpoint the
-    offending line and column.
+    offending line and column.  This is a view over `load_arrays`.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        found = DatasetSchema.from_fieldnames(reader.fieldnames)
-        if schema is not None and schema != found:
-            raise ParseError(
-                f"header declares schema {found}, expected {schema}"
-            )
-        schema = found
-        p = schema.p
-        areas = []
-        first_line = {}  # area_id -> line of its first row
-        for row in reader:
-            line = reader.line_num
-            if row.get(None) is not None:
-                raise ParseError(f"row at line {line}: more cells than header columns")
-            area_id = row.get("area_id")
-            if area_id is None or area_id.strip() == "":
-                raise ParseError(f"row at line {line}: missing value in column 'area_id'")
-            if area_id in first_line:
-                raise ParseError(
-                    f"row at line {line}: duplicate area_id {area_id!r}, first "
-                    f"seen at line {first_line[area_id]}"
-                )
-            first_line[area_id] = line
-
-            resp = _cell(row, schema.response_column, line)
-            if schema.raw_response:
-                if resp <= 0.0:
-                    raise NonPositiveValue(
-                        f"row at line {line}: column 'y' must be > 0 to take "
-                        f"its log, got {resp!r}"
-                    )
-                z = math.log(resp)
-            else:
-                z = resp
-
-            w = np.empty(p)
-            for j, column in enumerate(schema.covariate_columns):
-                value = _cell(row, column, line)
-                if schema.raw_covariates:
-                    if value <= 0.0:
-                        raise NonPositiveValue(
-                            f"row at line {line}: column {column!r} must be > 0 "
-                            f"to take its log, got {value!r}"
-                        )
-                    value = math.log(value)
-                w[j] = value
-
-            psi = _cell(row, "psi", line)
-            if psi < 0.0:
-                raise ParseError(
-                    f"row at line {line}: column 'psi' must be >= 0, got {psi!r}"
-                )
-
-            sigma = np.zeros((p, p))
-            if schema.sme_form == "diag":
-                for j in range(p):
-                    sigma[j, j] = _cell(row, f"sme_diag_{j + 1}", line)
-            else:
-                for j in range(1, p + 1):
-                    for k in range(1, j + 1):
-                        value = _cell(row, f"sme_{j}_{k}", line)
-                        sigma[j - 1, k - 1] = value
-                        sigma[k - 1, j - 1] = value
-            try:
-                areas.append(
-                    AreaObservation(
-                        area_id=area_id, z=z, w=w, psi=psi, sigma_me=sigma
-                    )
-                )
-            except NonPsdSigma as exc:
-                raise NonPsdSigma(f"row at line {line}: {exc}") from None
-    return areas
+    ids, arr = load_arrays(path, schema)
+    return [
+        AreaObservation(area_id=area_id, z=z, w=w, psi=psi, sigma_me=sigma)
+        for area_id, z, w, psi, sigma in zip(
+            ids, arr.z.tolist(), arr.w, arr.psi.tolist(), arr.sigma
+        )
+    ]
 
 
 def _fmt(value) -> str:
@@ -294,13 +367,26 @@ def save_dataset(areas, path) -> None:
         writer.writerows(rows)
 
 
+def _fmt_column(values) -> list[str]:
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        return [format(v, ".17g") for v in values.tolist()]  # as _fmt, in one pass
+    return [_fmt(v) for v in values]
+
+
 def write_csv(path, fieldnames, rows) -> None:
-    """Write dict rows with deterministic 17-significant-digit floats."""
+    """Write a table with deterministic 17-significant-digit floats.
+
+    ``rows`` is a list of dict rows, or a dict of columns (name ->
+    sequence); a float array column is formatted in one pass.
+    """
+    if isinstance(rows, dict):
+        lines = zip(*(_fmt_column(rows[name]) for name in fieldnames))
+    else:
+        lines = ([_fmt(row[name]) for name in fieldnames] for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
+        writer.writerows(lines)
 
 
 def write_json(obj, path) -> None:

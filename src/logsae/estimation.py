@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .model import ModelParams, _area_named
+from .model import ModelParams, _area_named, _stacked
 
 __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
 
@@ -69,9 +69,8 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
     The weights ``D_i`` are computed from ``params_current`` and must come
     out finite and positive; otherwise the system is reported singular.
     """
-    areas = list(areas)
-    arr = _arrays.stack(areas)
-    with _area_named(areas):
+    arr, ids = _stacked(areas)
+    with _area_named(ids):
         weights = _arrays.moment_weights(
             arr, params_current.beta, params_current.sigma2_nu
         )
@@ -99,10 +98,14 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
     SingularMomentMatrix
         If any weighted solve encounters a numerically singular system.
     """
+    return _fit_arrays(*_stacked(areas), config)
+
+
+def _fit_arrays(
+    arr: _arrays.AreaArrays, ids, config: FitConfig | None = None
+) -> ModelFit:
     cfg = config if config is not None else FitConfig()
-    areas = list(areas)
-    arr = _arrays.stack(areas)
-    with _area_named(areas):
+    with _area_named(ids):
         beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
             arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
         )

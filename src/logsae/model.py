@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .errors import NonPsdSigma, NumericalError
+from .errors import InsufficientAreas, NonPsdSigma, NumericalError
 
 __all__ = [
     "AreaObservation",
@@ -51,21 +51,38 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return out
 
 
-def _check_psd(sig: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(sig)):
-        raise NonPsdSigma(f"{context}: covariance has non-finite entries")
-    if not np.allclose(sig, sig.T, rtol=1e-8, atol=1e-12):
-        raise NonPsdSigma(f"{context}: covariance is not symmetric")
-    if sig.shape[0] == 1:
-        if sig[0, 0] < 0.0:
-            raise NonPsdSigma(f"{context}: negative variance {sig[0, 0]!r}")
+def _check_psd(sig: np.ndarray, context) -> None:
+    """Raise NonPsdSigma for the first covariance of the stack ``sig``
+    (m, p, p) that is not finite, symmetric (as ``np.allclose`` with
+    rtol=1e-8, atol=1e-12) and positive semi-definite; ``context(i)``
+    names area i in the message."""
+    finite = np.isfinite(sig).all(axis=(1, 2))
+    if sig.shape[-1] == 1:  # 1x1: symmetric, and its eigenvalue is its entry
+        symmetric = finite
+        negative = sig[:, 0, 0] < 0.0
+    else:
+        if not finite.all():
+            sig = np.where(finite[:, None, None], sig, 0.0)
+        t = sig.swapaxes(1, 2)
+        close = np.abs(sig - t) <= 1e-12 + 1e-8 * np.abs(t)
+        symmetric = finite & close.all(axis=(1, 2))
+        if not symmetric.all():
+            sig = np.where(symmetric[:, None, None], sig, 0.0)
+        eigvals = np.linalg.eigvalsh(sig)
+        negative = eigvals[:, 0] < -1e-12 * np.maximum(1.0, eigvals[:, -1])
+    bad = ~symmetric | negative  # symmetric implies finite
+    if not bad.any():
         return
-    eigvals = np.linalg.eigvalsh(sig)
-    tol = -1e-12 * max(1.0, float(eigvals[-1]))
-    if eigvals[0] < tol:
-        raise NonPsdSigma(
-            f"{context}: covariance has negative eigenvalue {eigvals[0]!r}"
-        )
+    i = int(np.argmax(bad))
+    if not finite[i]:
+        problem = "covariance has non-finite entries"
+    elif not symmetric[i]:
+        problem = "covariance is not symmetric"
+    elif sig.shape[-1] == 1:
+        problem = f"negative variance {sig[i, 0, 0]!r}"
+    else:
+        problem = f"covariance has negative eigenvalue {eigvals[i, 0]!r}"
+    raise NonPsdSigma(f"{context(i)}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +128,7 @@ class AreaObservation:
             raise ValueError(f"{self.area_id}: z must be finite")
         if not math.isfinite(psi) or psi < 0.0:
             raise ValueError(f"{self.area_id}: psi must be finite and >= 0")
-        _check_psd(sig, self.area_id)
+        _check_psd(sig[None], lambda i: self.area_id)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "w", w)
@@ -174,17 +191,21 @@ def _moments(obs: AreaObservation, params: ModelParams, w=None):
     return _arrays.conditional_moments(arr, params.beta, params.sigma2_nu)
 
 
+def _stacked(areas):
+    # (AreaArrays, area ids) of a list of areas, for the array-level functions
+    areas = list(areas)
+    return _arrays.stack(areas), [a.area_id for a in areas]
+
+
 @contextmanager
-def _area_named(areas):
+def _area_named(ids):
     # the kernel reports an array index; name the area it belongs to
     try:
         yield
     except NumericalError as exc:
         if exc.index is None:
             raise
-        raise type(exc)(
-            f"{areas[exc.index].area_id}: {exc}", index=exc.index
-        ) from None
+        raise type(exc)(f"{ids[exc.index]}: {exc}", index=exc.index) from None
 
 
 def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> float:
@@ -227,7 +248,7 @@ def posterior_moments(
     ``covariate`` selects the vector used in the regression part of the
     conditional mean; it defaults to the observed ``obs.w``.
     """
-    with _area_named([obs]):
+    with _area_named([obs.area_id]):
         mean, var, gamma = _moments(obs, params, covariate)
     return PosteriorMoments(
         mean=float(mean[0]), variance=float(var[0]), gamma=float(gamma[0])
@@ -248,7 +269,7 @@ def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
         If the exponent leaves the representable double range.  The error
         is raised instead of returning ``inf`` or ``0.0``.
     """
-    with _area_named([obs]):
+    with _area_named([obs.area_id]):
         mean, var, _ = _moments(obs, params)
         return float(_arrays.exp_checked(mean + 0.5 * var)[0])
 
@@ -266,17 +287,17 @@ def m1_term(
     the oracle version in a simulation).  Always non-negative, and zero
     exactly when ``gamma psi == 0``.
     """
-    with _area_named([obs]):
+    with _area_named([obs.area_id]):
         mean, var, _ = _moments(obs, params, covariate_in_use)
         return float(_arrays.m1_from_moments(mean, var)[0])
 
 
-def _predict_stacked(areas, params: ModelParams):
+def _predict_arrays(arr: _arrays.AreaArrays, ids, params: ModelParams):
     # (predictions, m1, gamma) arrays from one kernel call over all areas
-    with _area_named(areas):
-        return _arrays.predictions_and_m1(
-            _arrays.stack(areas), params.beta, params.sigma2_nu
-        )
+    if not arr.m:
+        raise InsufficientAreas("no areas given")
+    with _area_named(ids):
+        return _arrays.predictions_and_m1(arr, params.beta, params.sigma2_nu)
 
 
 def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
@@ -287,9 +308,9 @@ def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
     InsufficientAreas
         If ``areas`` is empty.
     """
-    areas = list(areas)
-    pred, m1, _ = _predict_stacked(areas, params)
+    arr, ids = _stacked(areas)
+    pred, m1, _ = _predict_arrays(arr, ids, params)
     return [
-        EbPrediction(area_id=obs.area_id, prediction=p, m1=v)
-        for obs, p, v in zip(areas, pred.tolist(), m1.tolist())
+        EbPrediction(area_id=area_id, prediction=p, m1=v)
+        for area_id, p, v in zip(ids, pred.tolist(), m1.tolist())
     ]

@@ -30,7 +30,7 @@ import numpy as np
 from . import _arrays, rng
 from .errors import InsufficientAreas, SingularMomentMatrix
 from .estimation import FitConfig, ModelFit
-from .model import _area_named
+from .model import _area_named, _stacked
 
 __all__ = ["JackknifeMspe", "BootstrapMspe", "jackknife_mspe", "bootstrap_mspe"]
 
@@ -125,10 +125,12 @@ def jackknife_mspe(
     run as one in-process batch.  A singular leave-one-out system is an
     error identifying the offending area.
     """
-    areas = list(areas)
-    arr = _arrays.stack(areas)
+    return _jackknife_arrays(*_stacked(areas), full_fit, config)
+
+
+def _jackknife_arrays(arr, ids, full_fit, config=None) -> list[JackknifeMspe]:
     cfg = config if config is not None else FitConfig()
-    with _area_named(areas):
+    with _area_named(ids):
         m1_j, m2_j, nonconverged = jackknife_core(
             arr,
             full_fit.params.beta,
@@ -138,13 +140,13 @@ def jackknife_mspe(
         )
     return [
         JackknifeMspe(
-            area_id=a.area_id,
+            area_id=area_id,
             m1_j=float(m1_j[i]),
             m2_j=float(m2_j[i]),
             total=float(m1_j[i] + m2_j[i]),
             loo_nonconverged=nonconverged,
         )
-        for i, a in enumerate(areas)
+        for i, area_id in enumerate(ids)
     ]
 
 
@@ -246,10 +248,12 @@ def bootstrap_mspe(
     rate is logged, and so is the number of refits used that stopped at
     the iteration cap.
     """
-    areas = list(areas)
-    arr = _arrays.stack(areas)
+    return _bootstrap_arrays(*_stacked(areas), full_fit, b, seed, config)
+
+
+def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None) -> list[BootstrapMspe]:
     cfg = config if config is not None else FitConfig()
-    with _area_named(areas):
+    with _area_named(ids):
         m1_bc, m2_star, used, capped = bootstrap_core(
             arr,
             full_fit.params.beta,
@@ -264,12 +268,12 @@ def bootstrap_mspe(
     totals = m1_bc + m2_star
     return [
         BootstrapMspe(
-            area_id=a.area_id,
+            area_id=area_id,
             m1_bias_corrected=float(m1_bc[i]),
             m2_star=float(m2_star[i]),
             total=float(totals[i]),
             b_replicates=used,
             negative=bool(totals[i] < 0.0),
         )
-        for i, a in enumerate(areas)
+        for i, area_id in enumerate(ids)
     ]

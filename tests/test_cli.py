@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from unittest import mock
 
 import pytest
@@ -449,6 +450,20 @@ def test_zero_weight_denominator_names_area_and_exits_four(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SingularMomentMatrix"
     assert err["message"].startswith("b: area weight denominator 0 ")
+
+
+def test_weight_denominator_underflow_names_area_and_exits_four(tmp_path, capsys):
+    # an exact fit truncates sigma2 at 0, so each weight is 1 / 1e-310 = inf
+    rows = "".join(f"{c},{v},{v},1e-310,0\n" for v, c in enumerate("abcd", start=1))
+    data = _write(tmp_path, "tiny.csv", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", str(data), "--out", str(tmp_path)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularMomentMatrix"
+    assert err["message"].startswith("a: area weight denominator 1e-310 ")
+    assert caught == []
 
 
 def test_mspe_overflow_names_area_and_exits_four(tmp_path, capsys):

@@ -7,13 +7,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_areas, random_dataset
 from logsae.dataio import (
     DatasetSchema,
     RunManifest,
+    load_arrays,
     load_dataset,
     save_dataset,
     sha256_file,
@@ -21,7 +22,7 @@ from logsae.dataio import (
     write_json,
     write_manifest,
 )
-from logsae.errors import NonPositiveValue, NonPsdSigma, ParseError
+from logsae.errors import DataError, NonPositiveValue, NonPsdSigma, ParseError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -166,6 +167,13 @@ class TestLoadDataset:
         assert load_dataset(write(tmp_path, "area_id,z,w_1,psi,sme_diag_1\n")) == []
 
 
+def test_header_only_file_loads_as_no_areas(tmp_path):
+    header = "area_id,y,x_1,x_2,psi,sme_diag_1,sme_diag_2\n"
+    ids, arr = load_arrays(write(tmp_path, header + "\n"))
+    assert ids == []
+    assert arr.z.shape == (0,) and arr.w.shape == (0, 2) and arr.sigma.shape == (0, 2, 2)
+
+
 class TestRoundTrip:
     def test_save_then_load_is_exact(self, tmp_path, gen):
         z, w, psi, sigma = random_dataset(gen, m=15, p=2, with_sigma=True)
@@ -217,6 +225,227 @@ def test_bad_cell_anywhere_names_its_line_and_column(seed, m, p, where, bad):
     assert f"column {header[col]!r}" in str(exc.value)
 
 
+def _schema_columns(p, response, prefix, form):
+    """Value columns in the order a row is checked: response, covariates,
+    psi, covariance entries."""
+    schema = DatasetSchema(p, response, prefix, form)
+    return [response, *schema.covariate_columns, "psi", *schema.sme_columns]
+
+
+def _cells(gen, m, p, response, prefix, form):
+    """Random valid cells, one dict per row, in a mix of number styles."""
+    styles = [repr, "{:.6g}".format, "{:.3e}".format, " {!r} ".format]
+
+    def text(v):
+        return styles[gen.integers(len(styles))](float(v))
+
+    rows = []
+    for i in range(m):
+        row = {"area_id": f"a{i}"}
+        row[response] = text(
+            gen.normal(1.0, 1.0) if response == "z" else gen.lognormal()
+        )
+        for j in range(1, p + 1):
+            row[f"{prefix}_{j}"] = text(
+                gen.normal(2.0, 1.0) if prefix == "w" else gen.lognormal()
+            )
+        row["psi"] = text(gen.gamma(2.0, 0.5) if i % 3 else 0.0)
+        # definite enough that 4-digit cells stay PSD
+        root = gen.normal(0.0, 0.4, size=(p, p))
+        sigma = (root @ root.T + 0.1 * np.eye(p)) * (i % 2)
+        if form == "diag":
+            for j in range(p):
+                row[f"sme_diag_{j + 1}"] = text(sigma[j, j])
+        else:
+            for j in range(p):
+                for k in range(j + 1):
+                    row[f"sme_{j + 1}_{k + 1}"] = text(sigma[j, k])
+        rows.append(row)
+    return rows
+
+
+def _write_file(path, header, rows, blanks, bom):
+    """Write rows (lists of cells) under ``header`` with ``blanks[i]`` empty
+    lines before row i; return each row's line number."""
+    lines = []
+    encoding = "utf-8-sig" if bom else "utf-8"
+    with open(path, "w", newline="", encoding=encoding) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        line = 1
+        for row, blank in zip(rows, blanks):
+            fh.write("\r\n" * blank)
+            writer.writerow(row)
+            line += blank + 1
+            lines.append(line)
+    return lines
+
+
+_LAYOUTS = dict(
+    p=st.integers(1, 3),
+    response=st.sampled_from(["z", "y"]),
+    prefix=st.sampled_from(["w", "x"]),
+    form=st.sampled_from(["diag", "full"]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    order=st.randoms(use_true_random=False),
+    blank_lines=st.booleans(),
+    bom=st.booleans(),
+    **_LAYOUTS,
+)
+def test_valid_file_loads_bit_for_bit(
+    seed, m, order, blank_lines, bom, p, response, prefix, form
+):
+    gen = np.random.default_rng(seed)
+    rows = _cells(gen, m, p, response, prefix, form)
+    header = ["area_id", *_schema_columns(p, response, prefix, form)]
+    order.shuffle(header)
+    blanks = gen.integers(0, 3, size=m) if blank_lines else [0] * m
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "areas.csv")
+        _write_file(path, header, [[r[c] for c in header] for r in rows], blanks, bom)
+        ids, arr = load_arrays(path)
+        areas = load_dataset(path)  # the view over load_arrays
+
+    def value(row, column):
+        v = float(row[column])
+        return math.log(v) if column == "y" or column.startswith("x_") else v
+
+    z = np.array([value(r, response) for r in rows])
+    w = np.array([[value(r, f"{prefix}_{j}") for j in range(1, p + 1)] for r in rows])
+    psi = np.array([float(r["psi"]) for r in rows])
+    sigma = np.zeros((m, p, p))
+    for i, r in enumerate(rows):
+        for j in range(p):
+            if form == "diag":
+                sigma[i, j, j] = float(r[f"sme_diag_{j + 1}"])
+                continue
+            for k in range(j + 1):
+                sigma[i, j, k] = sigma[i, k, j] = float(r[f"sme_{j + 1}_{k + 1}"])
+    assert ids == [r["area_id"] for r in rows]
+    for got, want in [(arr.z, z), (arr.w, w), (arr.psi, psi), (arr.sigma, sigma)]:
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [a.area_id for a in areas] == ids
+    assert np.array([a.z for a in areas]).tobytes() == z.tobytes()
+    assert np.array([a.sigma_me for a in areas]).tobytes() == sigma.tobytes()
+
+
+_BAD_CELLS = ["", " ", "abc", "1.5.2", "nan", "inf", "-inf", "1e999"]
+_DEFECTS = [
+    *(f"cell:{bad}" for bad in _BAD_CELLS),
+    "short",
+    "long",
+    "duplicate",
+    "nonpositive",
+    "negative_psi",
+    "non_psd",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 8),
+    order=st.randoms(use_true_random=False),
+    blank_lines=st.booleans(),
+    defects=st.lists(
+        st.tuples(st.sampled_from(_DEFECTS), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        min_size=2,
+        max_size=3,
+    ),
+    **_LAYOUTS,
+)
+def test_first_defect_by_line_then_check_order_is_reported(
+    seed, m, order, blank_lines, defects, p, response, prefix, form
+):
+    gen = np.random.default_rng(seed)
+    rows = _cells(gen, m, p, response, prefix, form)
+    columns = _schema_columns(p, response, prefix, form)
+    header = ["area_id", *columns]
+    order.shuffle(header)
+    # the rank of each check within a row: cell count, area_id missing, then
+    # repeated, then each column's cell and range checks, and last the PSD test
+    rank = {"area_id": 1} | {c: 3 + 2 * q for q, c in enumerate(columns)}
+    psd_rank = 3 + 2 * len(columns)
+    raw = [c for c in columns if c == "y" or c.startswith("x_")]
+
+    touched = set()  # (row, column) cells a defect set or cut; no two share one
+    length = {}  # row -> number of cells written, for short and long rows
+    claims = []  # (row, rank, error class, message fragment)
+
+    def touch(i, column):
+        assume((i, column) not in touched)
+        touched.add((i, column))
+
+    for kind, where_row, where_col in defects:
+        i = min(int(where_row * m), m - 1)
+        if kind.startswith("cell:"):
+            column = columns[min(int(where_col * len(columns)), len(columns) - 1)]
+            touch(i, column)
+            rows[i][column] = kind[5:]
+            claims.append((i, rank[column], ParseError, f"column {column!r}"))
+        elif kind in ("short", "long"):
+            assume(i not in length)
+            if kind == "long":
+                length[i] = len(header) + 1
+                claims.append((i, 0, ParseError, "more cells than header columns"))
+                continue
+            keep = 1 + min(int(where_col * (len(header) - 1)), len(header) - 2)
+            length[i] = keep
+            cut = header[keep:]
+            for column in cut:
+                touch(i, column)
+            first = min(cut, key=rank.get)
+            fragment = f"missing value in column {first!r}"
+            claims.append((i, rank[first], ParseError, fragment))
+        elif kind == "duplicate":
+            i = max(i, 1)
+            touch(i, "area_id")
+            rows[i]["area_id"] = "a0"
+            claims.append((i, 2, ParseError, "duplicate area_id 'a0'"))
+        elif kind == "nonpositive":
+            assume(raw)
+            column = raw[min(int(where_col * len(raw)), len(raw) - 1)]
+            touch(i, column)
+            rows[i][column] = "0" if where_col < 0.5 else "-2.5"
+            claims.append((i, rank[column] + 1, NonPositiveValue, f"column {column!r}"))
+        elif kind == "negative_psi":
+            touch(i, "psi")
+            rows[i]["psi"] = "-0.5"
+            claims.append((i, rank["psi"] + 1, ParseError, "column 'psi' must be >= 0"))
+        else:  # a valid cell that makes the covariance indefinite
+            column = (
+                "sme_diag_1" if form == "diag" else "sme_1_1" if p == 1 else "sme_2_1"
+            )
+            touch(i, column)
+            rows[i][column] = "10" if column == "sme_2_1" else "-1.0"
+            claims.append((i, psd_rank, NonPsdSigma, f"{rows[i]['area_id']}: "))
+
+    cells = []
+    for i, r in enumerate(rows):
+        row = [r[c] for c in header]
+        if i in length:
+            row = (row + ["9"])[: length[i]]
+        cells.append(row)
+    blanks = gen.integers(0, 3, size=m) if blank_lines else [0] * m
+    row, _, cls, fragment = min(claims, key=lambda c: (c[0], c[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "areas.csv")
+        lines = _write_file(path, header, cells, blanks, bom=False)
+        with pytest.raises(DataError) as exc:
+            load_arrays(path)
+    assert type(exc.value) is cls
+    message = str(exc.value)
+    assert message.startswith(f"row at line {lines[row]}: ")
+    assert fragment in message
+
+
 class TestWriteCsv:
     def test_formats_by_type(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -228,6 +457,19 @@ class TestWriteCsv:
         text = path.read_text()
         assert "0.33333333333333331" in text
         assert "true" in text and "3" in text
+
+    def test_columns_write_the_bytes_of_rows(self, tmp_path):
+        columns = {
+            "area_id": ["a", "b,c", "d"],
+            "value": np.array([1.0 / 3.0, -0.0, 1e-310]),
+            "count": [3, 4, 5],
+        }
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        write_csv(tmp_path / "rows.csv", list(columns), rows)
+        write_csv(tmp_path / "columns.csv", list(columns), columns)
+        assert (tmp_path / "rows.csv").read_bytes() == (
+            tmp_path / "columns.csv"
+        ).read_bytes()
 
 
 class TestWriteJson:

@@ -12,6 +12,7 @@ from logsae.errors import DegenerateVariance, NonPsdSigma, PredictionOverflow
 from logsae.model import (
     AreaObservation,
     ModelParams,
+    _check_psd,
     eb_predict,
     m1_term,
     posterior_moments,
@@ -73,6 +74,65 @@ class TestAreaObservation:
             area_id="a", z=0.0, w=np.zeros(2), psi=1.0, sigma_me=sig
         )
         assert obs.p == 2
+
+
+def _psd_problem(sig):
+    """One covariance checked as a single area: np.allclose, then eigvalsh."""
+    if not np.all(np.isfinite(sig)):
+        return "covariance has non-finite entries"
+    if not np.allclose(sig, sig.T, rtol=1e-8, atol=1e-12):
+        return "covariance is not symmetric"
+    if sig.shape[0] == 1:
+        return f"negative variance {sig[0, 0]!r}" if sig[0, 0] < 0.0 else None
+    eigvals = np.linalg.eigvalsh(sig)
+    if eigvals[0] < -1e-12 * max(1.0, float(eigvals[-1])):
+        return f"covariance has negative eigenvalue {eigvals[0]!r}"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    kinds=st.lists(
+        st.sampled_from(
+            ["psd", "zero", "asym", "near_asym", "nonfinite", "indefinite", "near_psd"]
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_stacked_psd_check_matches_one_area_at_a_time(seed, p, kinds):
+    gen = np.random.default_rng(seed)
+    stack = np.zeros((len(kinds), p, p))
+    for i, kind in enumerate(kinds):
+        root = gen.normal(0.0, 1.0, size=(p, p))
+        sig = root @ root.T if kind != "zero" else np.zeros((p, p))
+        if kind in ("asym", "near_asym") and p > 1:
+            # off by about the symmetry tolerance: either side of it
+            scale = 1e-12 + 1e-8 * abs(sig[0, 1])
+            sig[0, 1] += scale * (gen.uniform(0.5, 1.5) if kind == "near_asym" else 1e3)
+        elif kind == "nonfinite":
+            sig[gen.integers(p), gen.integers(p)] = [np.nan, np.inf, -np.inf][i % 3]
+        elif kind == "indefinite":
+            shift = np.linalg.eigvalsh(sig)[0] + gen.uniform(1e-3, 1.0)
+            sig = sig - shift * np.eye(p)
+        elif kind == "near_psd":
+            # smallest eigenvalue about the tolerance -1e-12 * largest, largest 1e3
+            q = np.linalg.qr(root)[0]
+            vals = np.full(p, 1e3)
+            vals[0] = -gen.uniform(0.2, 2.0) * 1e-9
+            sig = (q * vals) @ q.T
+            sig = (sig + sig.T) / 2.0
+        stack[i] = sig
+    problems = [_psd_problem(sig) for sig in stack]
+    first = next((i for i, problem in enumerate(problems) if problem), None)
+    if first is None:
+        _check_psd(stack, lambda i: f"area {i}")
+        return
+    with pytest.raises(NonPsdSigma) as exc:
+        _check_psd(stack, lambda i: f"area {i}")
+    assert str(exc.value) == f"area {first}: {problems[first]}"
 
 
 class TestShrinkageGamma:
