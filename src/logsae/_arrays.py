@@ -256,14 +256,8 @@ def fit_batch(
     m, p = arr.m, arr.p
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to fit, got {m}")
-    n = len(arr.z) if arr.z.ndim == 2 else 1
-    batch = AreaArrays(
-        z=arr.z if arr.z.ndim == 2 else arr.z[None].repeat(n, axis=0),
-        w=arr.w if arr.w.ndim == 3 else arr.w[None].repeat(n, axis=0),
-        psi=arr.psi,
-        sigma=arr.sigma,
-        moment=arr.moment,
-    )
+    batch = arr if arr.z.ndim == 2 else _batch_of_one(arr)
+    n = len(batch.z)
     if beta_init is None:
         beta, errors = _solve(batch, np.ones((n, m)))
     else:

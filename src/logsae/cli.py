@@ -66,7 +66,7 @@ def _load_params(path, p) -> ModelParams:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read parameter file {path!r}: {exc}") from None
     try:
         beta = np.asarray([float(b) for b in payload["beta"]], dtype=float)
@@ -142,8 +142,11 @@ def cmd_mspe(args) -> int:
         ]
         seed = args.seed
     # the CSV's "mspe" column is each record's total
-    rows = [{**dataclasses.asdict(r), "mspe": r.total} for r in results]
-    dataio.write_csv(os.path.join(out, "mspe.csv"), fieldnames, rows)
+    columns = {
+        name: [getattr(r, "total" if name == "mspe" else name) for r in results]
+        for name in fieldnames
+    }
+    dataio.write_csv(os.path.join(out, "mspe.csv"), fieldnames, columns)
     _write_fit(model_fit, ids, out)
     config = {
         "dataset": args.dataset,
@@ -159,17 +162,18 @@ def _write_report(report: simulation.SimulationReport, out: str) -> None:
     dataio.write_json(report.to_json_dict(), os.path.join(out, "report.json"))
     for name, rows in report.tables.items():
         if rows:
-            dataio.write_csv(
-                os.path.join(out, f"{report.study}_{name}.csv"),
-                list(rows[0].keys()),
-                rows,
-            )
+            columns = {key: [row[key] for row in rows] for key in rows[0]}
+            path = os.path.join(out, f"{report.study}_{name}.csv")
+            dataio.write_csv(path, list(columns), columns)
 
 
 def cmd_simulate(args) -> int:
     started = _utc_now()
     workers = parallel.resolve_workers(args.workers)
-    zeros = args.study == "zeros"
+    zeros, misspec = args.study == "zeros", args.study == "misspec"
+    if args.d_mis is not None and not misspec:
+        raise ValueError(f"--d-mis applies to --study misspec only, not {args.study}")
+    d_mis = 4.0 if args.d_mis is None else args.d_mis
     m_values = args.m or (simulation.DEFAULT_M_GRID if zeros else [20])
     k_values = args.k or (simulation.DEFAULT_K_GRID if zeros else [0.0])
     if not zeros and len(m_values) > 1:
@@ -196,14 +200,12 @@ def cmd_simulate(args) -> int:
         )
         _write_report(report, args.out)
     else:
-        report = simulation.misspecification_study(
-            config, args.d, args.d_mis, k_values=k_values
-        )
+        report = simulation.misspecification_study(config, d_mis, k_values=k_values)
         _write_report(report, args.out)
     # config holds the first m and k only; the manifest lists every value run
     ran = dataclasses.asdict(config) | {"m": m_values, "k_percent": k_values}
-    if args.study == "misspec":
-        ran["d_mis"] = args.d_mis
+    if misspec:
+        ran["d_mis"] = d_mis
     _write_manifest(args, args.out, ran, config.seed, None, started, workers)
     return 0
 
@@ -267,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--r", type=int, default=1000, help="replications")
     p_sim.add_argument("--b", type=int, default=1000, help="bootstrap replicates per replication")
     p_sim.add_argument("--seed", type=int, default=1)
-    p_sim.add_argument("--d-mis", type=float, default=4.0, dest="d_mis")
+    p_sim.add_argument(
+        "--d-mis", type=float, default=None, dest="d_mis",
+        help="wrong error variance the misspec study refits with (default: 4); "
+        "the other studies reject it",
+    )
     p_sim.add_argument(
         "--workers", type=int, default=None,
         help="validated and recorded only: the study runs in this process",

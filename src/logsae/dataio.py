@@ -208,20 +208,24 @@ def load_arrays(path, schema: DatasetSchema | None = None):
     line for the first failed check in the order: cell count, area_id
     (missing, then repeated), then each column of the schema (response,
     covariates, psi, covariance entries) with its range check, and last
-    the covariance's symmetric-PSD test.
+    the covariance's symmetric-PSD test.  A file that is not UTF-8 text
+    raises `ParseError`.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        found = DatasetSchema.from_fieldnames(header)
-        if schema is not None and schema != found:
-            raise ParseError(f"header declares schema {found}, expected {schema}")
-        schema = found
-        rows, lines = [], []
-        for row in reader:
-            if row:  # blank lines are skipped
-                rows.append(row)
-                lines.append(reader.line_num)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            found = DatasetSchema.from_fieldnames(header)
+            if schema is not None and schema != found:
+                raise ParseError(f"header declares schema {found}, expected {schema}")
+            schema = found
+            rows, lines = [], []
+            for row in reader:
+                if row:  # blank lines are skipped
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except UnicodeDecodeError:  # its byte offset counts from the decoder's chunk
+        raise ParseError(f"dataset {str(path)!r} is not UTF-8 text") from None
     m, n, p = len(rows), len(header), schema.p
     checks = []  # (bad rows, error for a row), in the order a row is checked
 
@@ -347,24 +351,14 @@ def save_dataset(areas, path) -> None:
     """Write areas in the canonical form: z, w_j, psi, full sme triangle."""
     if not areas:
         raise ValueError("no areas to save")
-    p = areas[0].p
-    if any(a.p != p for a in areas):
-        raise ValueError("areas disagree on covariate dimension")
-    schema = DatasetSchema(p=p, response_column="z", covariate_prefix="w", sme_form="full")
-    header = ["area_id", "z", *schema.covariate_columns, "psi", *schema.sme_columns]
-    rows = []
-    for a in areas:
-        row = [a.area_id, _fmt(a.z)]
-        row.extend(_fmt(v) for v in a.w)
-        row.append(_fmt(a.psi))
-        for j in range(p):
-            for k in range(j + 1):
-                row.append(_fmt(a.sigma_me[j, k]))
-        rows.append(row)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    arr = _arrays.stack(areas)
+    schema = DatasetSchema(p=arr.p, response_column="z", covariate_prefix="w", sme_form="full")
+    columns = {"area_id": [a.area_id for a in areas], "z": arr.z}
+    columns.update(zip(schema.covariate_columns, arr.w.T))
+    columns["psi"] = arr.psi
+    j, k = np.tril_indices(arr.p)  # row-major, the order of sme_columns
+    columns.update(zip(schema.sme_columns, arr.sigma[:, j, k].T))
+    write_csv(path, list(columns), columns)
 
 
 def _fmt_column(values) -> list[str]:
@@ -373,16 +367,13 @@ def _fmt_column(values) -> list[str]:
     return [_fmt(v) for v in values]
 
 
-def write_csv(path, fieldnames, rows) -> None:
+def write_csv(path, fieldnames, columns) -> None:
     """Write a table with deterministic 17-significant-digit floats.
 
-    ``rows`` is a list of dict rows, or a dict of columns (name ->
-    sequence); a float array column is formatted in one pass.
+    ``columns`` maps each name in ``fieldnames`` to its sequence of
+    values; a float array column is formatted in one pass.
     """
-    if isinstance(rows, dict):
-        lines = zip(*(_fmt_column(rows[name]) for name in fieldnames))
-    else:
-        lines = ([_fmt(row[name]) for name in fieldnames] for row in rows)
+    lines = zip(*(_fmt_column(columns[name]) for name in fieldnames))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)

@@ -182,11 +182,10 @@ class EbPrediction:
     m1: float
 
 
-def _moments(obs: AreaObservation, params: ModelParams, w=None):
+def _moments(obs: AreaObservation, params: ModelParams):
     # conditional (mean, variance, gamma) of one area, as length-1 arrays
-    w = obs.w if w is None else np.asarray(w, dtype=float)
     arr = _arrays.build(
-        np.array([obs.z]), w[None, :], np.array([obs.psi]), obs.sigma_me[None]
+        np.array([obs.z]), obs.w[None, :], np.array([obs.psi]), obs.sigma_me[None]
     )
     return _arrays.conditional_moments(arr, params.beta, params.sigma2_nu)
 
@@ -238,18 +237,14 @@ def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> fl
     return float(_arrays.gamma_vec(sig, psi_arr, params.beta, params.sigma2_nu)[0])
 
 
-def posterior_moments(
-    obs: AreaObservation,
-    params: ModelParams,
-    covariate: np.ndarray | None = None,
-) -> PosteriorMoments:
+def posterior_moments(obs: AreaObservation, params: ModelParams) -> PosteriorMoments:
     """Conditional law of the latent log-scale mean given the data.
 
-    ``covariate`` selects the vector used in the regression part of the
-    conditional mean; it defaults to the observed ``obs.w``.
+    The regression part of the conditional mean uses ``obs.w``; for another
+    covariate, pass ``dataclasses.replace(obs, w=...)``.
     """
     with _area_named([obs.area_id]):
-        mean, var, gamma = _moments(obs, params, covariate)
+        mean, var, gamma = _moments(obs, params)
     return PosteriorMoments(
         mean=float(mean[0]), variance=float(var[0]), gamma=float(gamma[0])
     )
@@ -274,21 +269,15 @@ def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
         return float(_arrays.exp_checked(mean + 0.5 * var)[0])
 
 
-def m1_term(
-    obs: AreaObservation,
-    params: ModelParams,
-    covariate_in_use: np.ndarray | None = None,
-) -> float:
+def m1_term(obs: AreaObservation, params: ModelParams) -> float:
     """Leading prediction-uncertainty term: conditional variance of ``Y``.
 
     Equals ``exp(psi gamma) (exp(psi gamma) - 1) exp(2 [gamma z +
-    (1 - gamma) m'beta])`` where ``m`` is ``covariate_in_use`` (the
-    observed ``w`` by default; pass the latent covariate when evaluating
-    the oracle version in a simulation).  Always non-negative, and zero
-    exactly when ``gamma psi == 0``.
+    (1 - gamma) w'beta])``.  Always non-negative, and zero exactly when
+    ``gamma psi == 0``.
     """
     with _area_named([obs.area_id]):
-        mean, var, _ = _moments(obs, params, covariate_in_use)
+        mean, var, _ = _moments(obs, params)
         return float(_arrays.m1_from_moments(mean, var)[0])
 
 

@@ -503,14 +503,13 @@ def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
 
 def misspecification_study(
     config: SimulationConfig,
-    d_true: float,
     d_mis: float,
     k_values=None,
     fit_config: FitConfig | None = None,
 ) -> SimulationReport:
     """Coefficient sensitivity to a wrong measurement-error variance.
 
-    Data are generated with ``d_true``; the same data are fit twice, once
+    Data are generated with ``config.d``; the same data are fit twice, once
     with the correct per-area covariances and once with ``d_mis`` swapped
     in for the error-measured subset.  Per k the study reports
     ``100 * mean |beta_hat - beta_hat_mis|`` and both coefficients' biases
@@ -518,16 +517,14 @@ def misspecification_study(
     """
     if config.p != 1:
         raise ValueError("misspecification_study supports a single covariate only")
-    for name, value in (("d_true", d_true), ("d_mis", d_mis)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if not (math.isfinite(d_mis) and d_mis >= 0.0):
+        raise ValueError(f"d_mis must be finite and >= 0, got {d_mis}")
     t0 = time.perf_counter()
     if k_values is None:
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
     rows = []
-    data_config = dataclasses.replace(config, d=float(d_true))
-    for cell in _grid(data_config, [config.m], k_values):
+    for cell in _grid(config, [config.m], k_values):
         done, failed = _run_cell(
             _misspec_replicate, cell, fit_config, d_mis=float(d_mis)
         )
@@ -556,6 +553,6 @@ def misspecification_study(
         r_failed=sum(row["r_failed"] for row in rows),
         wall_clock_seconds=time.perf_counter() - t0,
         tables={"sensitivity": rows},
-        summary={"d_true": float(d_true), "d_mis": float(d_mis)},
+        summary={"d_true": float(config.d), "d_mis": float(d_mis)},
         grid={"m": [config.m], "k_percent": [float(k) for k in k_values]},
     )

@@ -150,9 +150,9 @@ def test_criterion_3_m1_matches_sampled_conditional_variance(capsys):
 
 
 def test_criterion_4_misspecification_anchors(capsys):
-    config = sim.SimulationConfig(m=20, r_replications=1000, seed=1)
+    config = sim.SimulationConfig(m=20, r_replications=1000, seed=1, d=2.0)
     report = sim.misspecification_study(
-        config, d_true=2.0, d_mis=4.0, k_values=[0.0, 20.0, 50.0, 80.0, 100.0]
+        config, d_mis=4.0, k_values=[0.0, 20.0, 50.0, 80.0, 100.0]
     )
     diffs = [row["mean_abs_diff_x100"] for row in report.tables["sensitivity"]]
     ok = diffs[0] == 0.0

@@ -511,3 +511,41 @@ def test_bad_params_file_exits_three(dataset, tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"area_id,z,w_1,psi,sme_diag_1\na,1,\xff,1,0\n", "area_id,z".encode("utf-16")],
+    ids=["byte-ff", "utf-16"],
+)
+def test_non_utf8_dataset_exits_three(tmp_path, capsys, raw):
+    data = tmp_path / "latin.csv"
+    data.write_bytes(raw)
+    assert main(["fit", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert str(data) in err["message"] and "not UTF-8" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_utf8_params_file_exits_three(dataset, tmp_path, capsys):
+    params = tmp_path / "fit.json"
+    params.write_bytes(b'{"beta": [1.0], "sigma2_nu": 1.0, "note": "\xff"}')
+    code = main(
+        ["predict", str(dataset), "--params", str(params), "--out", str(tmp_path)]
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert str(params) in err["message"]
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("study", ["emse", "mspe", "zeros"])
+def test_d_mis_outside_misspec_exits_two(tmp_path, capsys, study):
+    out = tmp_path / study
+    args = ["simulate", "--study", study, "--m", "8", "--r", "2", "--b", "4"]
+    assert main([*args, "--d-mis", "99", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "--d-mis" in err["message"]
+    assert not list(tmp_path.rglob("report.json"))

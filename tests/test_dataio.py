@@ -23,6 +23,7 @@ from logsae.dataio import (
     write_manifest,
 )
 from logsae.errors import DataError, NonPositiveValue, NonPsdSigma, ParseError
+from logsae.model import AreaObservation
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -187,6 +188,32 @@ class TestRoundTrip:
             assert a.z == b.z and a.psi == b.psi
             np.testing.assert_array_equal(a.w, b.w)
             np.testing.assert_array_equal(a.sigma_me, b.sigma_me)
+
+    def test_saved_bytes(self, tmp_path):
+        areas = [
+            AreaObservation(
+                "a", 1.0 / 3.0, np.array([1.5, -2.0]), 0.1,
+                np.array([[0.5, 0.1], [0.1, 0.2]]),
+            ),
+            AreaObservation("b", -0.0, np.array([0.0, 1e-310]), 2.0, np.zeros((2, 2))),
+        ]
+        save_dataset(areas, tmp_path / "areas.csv")
+        assert (tmp_path / "areas.csv").read_bytes() == (
+            b"area_id,z,w_1,w_2,psi,sme_1_1,sme_2_1,sme_2_2\r\n"
+            b"a,0.33333333333333331,1.5,-2,0.10000000000000001,0.5,"
+            b"0.10000000000000001,0.20000000000000001\r\n"
+            b"b,-0,0,9.9999999999999694e-311,2,0,0,0\r\n"
+        )
+
+    def test_no_areas_or_mixed_p_writes_nothing(self, tmp_path):
+        path = tmp_path / "areas.csv"
+        with pytest.raises(ValueError, match="no areas to save"):
+            save_dataset([], path)
+        mixed = make_areas([1.0], [[1.0]], [1.0])
+        mixed.append(AreaObservation("b", 1.0, np.ones(2), 1.0, np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="^b: covariate length 2 differs from 1"):
+            save_dataset(mixed, path)
+        assert not path.exists()
 
     def test_rewrite_is_byte_identical(self, tmp_path, gen):
         z, w, psi, sigma = random_dataset(gen, m=9, p=1, with_sigma=True)
@@ -448,28 +475,19 @@ def test_first_defect_by_line_then_check_order_is_reported(
 
 class TestWriteCsv:
     def test_formats_by_type(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(
-            path,
-            ["name", "count", "value", "flag"],
-            [{"name": "x", "count": 3, "value": 1.0 / 3.0, "flag": True}],
-        )
-        text = path.read_text()
-        assert "0.33333333333333331" in text
-        assert "true" in text and "3" in text
-
-    def test_columns_write_the_bytes_of_rows(self, tmp_path):
         columns = {
             "area_id": ["a", "b,c", "d"],
             "value": np.array([1.0 / 3.0, -0.0, 1e-310]),
             "count": [3, 4, 5],
+            "flag": [True, False, True],
         }
-        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-        write_csv(tmp_path / "rows.csv", list(columns), rows)
-        write_csv(tmp_path / "columns.csv", list(columns), columns)
-        assert (tmp_path / "rows.csv").read_bytes() == (
-            tmp_path / "columns.csv"
-        ).read_bytes()
+        write_csv(tmp_path / "t.csv", list(columns), columns)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"area_id,value,count,flag\r\n"
+            b"a,0.33333333333333331,3,true\r\n"
+            b'"b,c",-0,4,false\r\n'
+            b"d,9.9999999999999694e-311,5,true\r\n"
+        )
 
 
 class TestWriteJson:

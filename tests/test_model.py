@@ -1,5 +1,6 @@
 """Closed-form quantities: shrinkage, EB prediction, conditional variance."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestPosteriorMoments:
         params = ModelParams(beta=np.array([2.0]), sigma2_nu=1.0)
         obs = obs_1d(z=0.3, w=1.0, psi=1.7, sme=0.2)
         base = posterior_moments(obs, params)
-        other = posterior_moments(obs, params, covariate=np.array([3.0]))
+        other = posterior_moments(dataclasses.replace(obs, w=np.array([3.0])), params)
         assert other.gamma == base.gamma and other.variance == base.variance
         shift = (1.0 - base.gamma) * 2.0 * (3.0 - 1.0)
         assert other.mean == pytest.approx(base.mean + shift, rel=1e-14)

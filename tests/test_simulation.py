@@ -119,12 +119,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 cfg(**{field: value})
 
-    @pytest.mark.parametrize("field", ["d_true", "d_mis"])
+    # the variance the data are drawn with is config.d, checked above
+    @pytest.mark.parametrize("field", ["d_mis"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_misspecification_variances_rejected_by_name(self, field, value):
-        kwargs = {"d_true": 2.0, "d_mis": 4.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
-            sim.misspecification_study(cfg(m=8), **kwargs)
+            sim.misspecification_study(cfg(m=8), **{field: value})
 
     def test_replace_supported(self):
         c = cfg()
@@ -267,7 +267,7 @@ class TestZeroProportionStudy:
 class TestMisspecificationStudy:
     def test_no_error_subset_gives_exact_zero(self):
         report = sim.misspecification_study(
-            cfg(m=8, r_replications=4), d_true=2.0, d_mis=4.0, k_values=[0.0]
+            cfg(m=8, r_replications=4, d=2.0), d_mis=4.0, k_values=[0.0]
         )
         row = report.tables["sensitivity"][0]
         assert row["mean_abs_diff_x100"] == 0.0
@@ -275,16 +275,24 @@ class TestMisspecificationStudy:
 
     def test_equal_variances_give_exact_zero_everywhere(self):
         report = sim.misspecification_study(
-            cfg(m=8, r_replications=4), d_true=2.0, d_mis=2.0,
+            cfg(m=8, r_replications=4, d=2.0), d_mis=2.0,
             k_values=[0.0, 50.0, 100.0],
         )
         for row in report.tables["sensitivity"]:
             assert row["mean_abs_diff_x100"] == 0.0
 
+    def test_data_are_drawn_with_config_d(self):
+        tables = []
+        for d in (2.0, 3.0):
+            report = sim.misspecification_study(cfg(m=8, d=d), d_mis=4.0)
+            assert report.summary["d_true"] == report.config.d == d
+            tables.append(report.tables["sensitivity"])
+        assert tables[0] != tables[1]
+
     def test_multivariate_covariates_rejected(self):
         config = cfg(beta_true=(1.0, 2.0))
         with pytest.raises(ValueError, match="single covariate"):
-            sim.misspecification_study(config, d_true=2.0, d_mis=4.0)
+            sim.misspecification_study(config, d_mis=4.0)
 
 
 def _looped_emse(replicate, config, max_iterations, rel_tolerance):
@@ -372,7 +380,7 @@ class TestGrid:
             sim.zero_proportion_study(cfg(m=8), m_values=(8, 8), k_values=(0.0,))
         with pytest.raises(ValueError, match="k value 0 is repeated"):
             sim.misspecification_study(
-                cfg(m=8), d_true=2.0, d_mis=4.0, k_values=[0.0, 0.0]
+                cfg(m=8), d_mis=4.0, k_values=[0.0, 0.0]
             )
 
     def test_cells_are_m_major(self):
@@ -390,7 +398,7 @@ class TestFailedReplicates:
             sim.run_mspe_study,
             lambda c: sim.zero_proportion_study(c, m_values=(7,), k_values=(30.0,)),
             lambda c: sim.misspecification_study(
-                c, d_true=2.0, d_mis=4.0, k_values=(30.0,)
+                c, d_mis=4.0, k_values=(30.0,)
             ),
         ],
         ids=["emse", "mspe", "zeros", "misspec"],
