@@ -208,9 +208,11 @@ def load_arrays(path, schema: DatasetSchema | None = None):
     line for the first failed check in the order: cell count, area_id
     (missing, then repeated), then each column of the schema (response,
     covariates, psi, covariance entries) with its range check, and last
-    the covariance's symmetric-PSD test.  A file that is not UTF-8 text
-    raises `ParseError`.
+    the covariance's symmetric-PSD test.  A row is named by the line its
+    record starts on.  A file that is not UTF-8 text, or that the csv
+    module cannot read, raises `ParseError`.
     """
+    start = 1  # the line the next record starts on
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -220,12 +222,16 @@ def load_arrays(path, schema: DatasetSchema | None = None):
                 raise ParseError(f"header declares schema {found}, expected {schema}")
             schema = found
             rows, lines = [], []
+            start = reader.line_num + 1
             for row in reader:
                 if row:  # blank lines are skipped
                     rows.append(row)
-                    lines.append(reader.line_num)
+                    lines.append(start)
+                start = reader.line_num + 1
     except UnicodeDecodeError:  # its byte offset counts from the decoder's chunk
         raise ParseError(f"dataset {str(path)!r} is not UTF-8 text") from None
+    except csv.Error as exc:  # e.g. a cell over the csv module's field limit
+        raise ParseError(f"row at line {start}: {exc}") from None
     m, n, p = len(rows), len(header), schema.p
     checks = []  # (bad rows, error for a row), in the order a row is checked
 

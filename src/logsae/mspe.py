@@ -174,12 +174,7 @@ def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
     the starred covariate draw.
     """
     m, p = arr.m, arr.p
-    std = np.stack(
-        [
-            rng.stream(seed, rng.BOOTSTRAP, r).standard_normal((m, p + 2))
-            for r in replicates
-        ]
-    )
+    std = rng.standard_normals(seed, rng.BOOTSTRAP, replicates, (m, p + 2))
     w_star = arr.w + np.einsum("ipq,biq->bip", factors, std[..., :p])
     nu_star = math.sqrt(sigma2) * std[..., p]
     e_star = np.sqrt(arr.psi) * std[..., p + 1]
@@ -212,10 +207,10 @@ def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
         )
         keep = np.ones(len(pred_star), dtype=bool)
         keep[list(errors)] = False
-        for m1_r, pred_r in zip(m1_star[keep], pred_star[keep]):
-            # replicate order: a deterministic reduction
-            sum_m1 += m1_r
-            sum_sq += (pred_r - pred_full) ** 2
+        # a running sum in replicate order, carried across batches as row 0
+        sum_m1 = np.cumsum(np.vstack([sum_m1, m1_star[keep]]), axis=0)[-1]
+        sq = (pred_star[keep] - pred_full) ** 2
+        sum_sq = np.cumsum(np.vstack([sum_sq, sq]), axis=0)[-1]
         used += int(np.count_nonzero(keep))
         capped += int(np.count_nonzero(~fit.converged[refit][keep]))
     if used == 0:

@@ -528,6 +528,19 @@ def test_non_utf8_dataset_exits_three(tmp_path, capsys, raw):
     assert not (tmp_path / "out").exists()
 
 
+def test_cell_over_csv_field_limit_exits_three(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(
+        "area_id,y,x_1,psi,sme_diag_1\na,1,1,1,0\n"
+        f'b,2,"{"7" * 140_000}",1,0\nc,3,1,1,0\n'
+    )
+    assert main(["fit", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("row at line 3: field larger than field limit")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_params_file_exits_three(dataset, tmp_path, capsys):
     params = tmp_path / "fit.json"
     params.write_bytes(b'{"beta": [1.0], "sigma2_nu": 1.0, "note": "\xff"}')

@@ -162,6 +162,14 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"line 4: duplicate area_id 'a'.* line 2"):
             load_dataset(write(tmp_path, text))
 
+    def test_multi_line_record_named_by_its_first_line(self, tmp_path):
+        # the quote opened on line 3 runs to the end of the file
+        text = 'area_id,y,x_1,psi,sme_diag_1\na,1,1,1,0\nb,2,"2,1,0\nc,3,1,1,0\n'
+        with pytest.raises(
+            ParseError, match=r"^row at line 3: column 'x_1' is not a number"
+        ):
+            load_arrays(write(tmp_path, text))
+
     def test_empty_file_and_header_only(self, tmp_path):
         with pytest.raises(ParseError, match="header"):
             load_dataset(write(tmp_path, ""))

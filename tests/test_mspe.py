@@ -263,3 +263,71 @@ class TestBootstrap:
         for i, (rb, r2b) in enumerate(zip(rows_b, rows_2b)):
             se = per_rep[:, i].std(ddof=1) / math.sqrt(b)
             assert abs(r2b.m2_star - rb.m2_star) < 3.0 * se
+
+
+class TestBootstrapReduction:
+    """bootstrap_core sums its replicates in replicate order, so the batch
+    size cannot change its bits."""
+
+    B, SEED, DROPPED = 50, 3, 17
+    BATCHES = [(1500, 1), (390, 4), (210, 8)]  # _BATCH_CELLS at m=30, batch count
+
+    @staticmethod
+    def _problem():
+        z, w, psi, sigma = random_dataset(np.random.default_rng(41), m=30, p=2)
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        return _arrays.stack(areas), full.params.beta, full.params.sigma2_nu
+
+    def _core(self, arr, beta, sigma2):
+        return mspe.bootstrap_core(arr, beta, sigma2, self.B, self.SEED, 200, 1e-10)
+
+    @pytest.mark.parametrize("cells, n_batches", BATCHES)
+    def test_batch_size_leaves_the_bits(self, monkeypatch, cells, n_batches):
+        arr, beta, sigma2 = self._problem()
+        default = self._core(arr, beta, sigma2)
+        monkeypatch.setattr(_arrays, "_BATCH_CELLS", cells)
+        assert len(_arrays.batches(self.B, arr.m)) == n_batches
+        got = self._core(arr, beta, sigma2)
+        assert got[2:] == default[2:] == (self.B, 0)
+        for a, b in zip(got[:2], default[:2]):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cells, n_batches", BATCHES)
+    def test_dropped_replicate_is_left_out_of_both_sums(
+        self, monkeypatch, cells, n_batches
+    ):
+        arr, beta, sigma2 = self._problem()
+        # reference: all replicates refit as one batch, summed one by one
+        # in replicate order, skipping the dropped one
+        factors = mspe._psd_factors(arr.sigma)
+        replicates = range(self.B)
+        starred = mspe._draw_starred(arr, factors, beta, sigma2, self.SEED, replicates)
+        refit = _arrays.fit_batch(starred, 200, 1e-10, beta)
+        pred_star, m1_star, _, errors = _arrays.predict_batch(
+            arr, refit.beta, refit.sigma2
+        )
+        assert not refit.errors and not errors
+        pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+        sum_m1, sum_sq = np.zeros(arr.m), np.zeros(arr.m)
+        for r in range(self.B):
+            if r != self.DROPPED:
+                sum_m1 += m1_star[r]
+                sum_sq += (pred_star[r] - pred_full) ** 2
+        used = self.B - 1
+
+        real = mspe._draw_starred
+
+        def draw(arr, factors, beta, sigma2, seed, replicates):
+            starred = real(arr, factors, beta, sigma2, seed, replicates)
+            if self.DROPPED in replicates:  # a non-finite system: its refit fails
+                starred.z[replicates.index(self.DROPPED)] = np.nan
+            return starred
+
+        monkeypatch.setattr(mspe, "_draw_starred", draw)
+        monkeypatch.setattr(_arrays, "_BATCH_CELLS", cells)
+        assert len(_arrays.batches(self.B, arr.m)) == n_batches
+        m1_bc, m2_star, got_used, capped = self._core(arr, beta, sigma2)
+        assert (got_used, capped) == (used, 0)
+        assert m1_bc.tobytes() == (2.0 * m1_full - sum_m1 / used).tobytes()
+        assert m2_star.tobytes() == (sum_sq / used).tobytes()

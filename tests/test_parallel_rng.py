@@ -1,4 +1,5 @@
-"""Keyed RNG streams, worker-count validation and the replicate map."""
+"""Keyed RNG streams and their batch form, worker-count validation and the
+replicate map."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import logsae
 from logsae import rng
@@ -46,6 +49,53 @@ class TestStreams:
         assert isinstance(s0, int) and s0 >= 0
         assert s0 != rng.derive_seed(9, 1)
         assert s0 != rng.derive_seed(10, 0)
+
+
+# SeedSequence((seed, BOOTSTRAP, replicate)).generate_state(2, np.uint64),
+# the Philox key of that stream, as numpy computes it
+PINNED_KEYS = {
+    (0, 0): [17195319236771816063, 15805119554588263345],
+    (2**32, 2**32): [18147978141094112004, 14748949877560422430],
+}
+
+
+class TestStandardNormals:
+    @pytest.mark.parametrize("seed, replicate", sorted(PINNED_KEYS))
+    def test_seed_sequence_is_the_one_copied(self, seed, replicate):
+        state = rng.stream(seed, rng.BOOTSTRAP, replicate).bit_generator.state
+        assert state["state"]["key"].tolist() == PINNED_KEYS[seed, replicate], (
+            "numpy's SeedSequence changed: every keyed stream, and the copy of "
+            "its mixing in rng.standard_normals, must be revisited"
+        )
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        purpose=st.sampled_from([rng.GENERATE, rng.BOOTSTRAP, rng.DERIVE]),
+        replicates=st.lists(st.integers(0, 2**40 - 1), max_size=12),
+        m=st.integers(1, 30),
+        p=st.integers(1, 3),
+    )
+    @example(seed=0, purpose=rng.BOOTSTRAP, replicates=[2**32 - 1, 2**32], m=4, p=1)
+    @example(seed=2**32, purpose=rng.BOOTSTRAP, replicates=[2**32, 2**32 - 1], m=4, p=1)
+    @example(seed=0, purpose=rng.GENERATE, replicates=[], m=1, p=1)
+    def test_equal_to_stacked_streams(self, seed, purpose, replicates, m, p):
+        shape = (m, p + 2)
+        got = rng.standard_normals(seed, purpose, replicates, shape)
+        want = np.empty((0, *shape))
+        if replicates:
+            streams = [rng.stream(seed, purpose, r) for r in replicates]
+            want = np.stack([gen.standard_normal(shape) for gen in streams])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (
+            "rng.standard_normals no longer matches rng.stream: has numpy's "
+            "SeedSequence or Philox changed?"
+        )
+
+    @pytest.mark.parametrize("bad", [[-1], [2**64], [1.5], ["3"]])
+    def test_replicates_outside_the_key_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="replicates"):
+            rng.standard_normals(1, rng.BOOTSTRAP, bad, (2, 3))
 
 
 class TestWorkers:
