@@ -112,7 +112,7 @@ def cmd_predict(args) -> int:
     pred, m1, gamma = _predict_arrays(arr, ids, params)
     out = _ensure_out(args.out)
     columns = {"area_id": ids, "prediction": pred, "m1": m1, "gamma": gamma}
-    dataio.write_csv(os.path.join(out, "predictions.csv"), list(columns), columns)
+    dataio.write_csv(os.path.join(out, "predictions.csv"), columns)
     if model_fit is not None:
         _write_fit(model_fit, ids, out)
     config = {"dataset": args.dataset, "params": args.params}
@@ -127,26 +127,28 @@ def cmd_mspe(args) -> int:
     model_fit = _fit_arrays(arr, ids)
     out = _ensure_out(args.out)
     if args.method == "jackknife":
-        results = _jackknife_arrays(arr, ids, model_fit)
-        fieldnames = ["area_id", "m1_j", "m2_j", "mspe", "loo_nonconverged"]
+        m1_j, m2_j, nonconverged = _jackknife_arrays(arr, ids, model_fit)
+        columns = {
+            "area_id": ids,
+            "m1_j": m1_j,
+            "m2_j": m2_j,
+            "mspe": m1_j + m2_j,
+            "loo_nonconverged": [nonconverged] * arr.m,
+        }
         seed = None
     else:
-        results = _bootstrap_arrays(arr, ids, model_fit, args.b, args.seed)
-        fieldnames = [
-            "area_id",
-            "m1_bias_corrected",
-            "m2_star",
-            "mspe",
-            "negative",
-            "b_replicates",
-        ]
+        m1_bc, m2_star, used = _bootstrap_arrays(arr, ids, model_fit, args.b, args.seed)
+        totals = m1_bc + m2_star
+        columns = {
+            "area_id": ids,
+            "m1_bias_corrected": m1_bc,
+            "m2_star": m2_star,
+            "mspe": totals,
+            "negative": totals < 0.0,
+            "b_replicates": [used] * arr.m,
+        }
         seed = args.seed
-    # the CSV's "mspe" column is each record's total
-    columns = {
-        name: [getattr(r, "total" if name == "mspe" else name) for r in results]
-        for name in fieldnames
-    }
-    dataio.write_csv(os.path.join(out, "mspe.csv"), fieldnames, columns)
+    dataio.write_csv(os.path.join(out, "mspe.csv"), columns)
     _write_fit(model_fit, ids, out)
     config = {
         "dataset": args.dataset,
@@ -160,11 +162,8 @@ def cmd_mspe(args) -> int:
 def _write_report(report: simulation.SimulationReport, out: str) -> None:
     out = _ensure_out(out)
     dataio.write_json(report.to_json_dict(), os.path.join(out, "report.json"))
-    for name, rows in report.tables.items():
-        if rows:
-            columns = {key: [row[key] for row in rows] for key in rows[0]}
-            path = os.path.join(out, f"{report.study}_{name}.csv")
-            dataio.write_csv(path, list(columns), columns)
+    for name, columns in report.tables.items():
+        dataio.write_csv(os.path.join(out, f"{report.study}_{name}.csv"), columns)
 
 
 def cmd_simulate(args) -> int:

@@ -364,25 +364,27 @@ def save_dataset(areas, path) -> None:
     columns["psi"] = arr.psi
     j, k = np.tril_indices(arr.p)  # row-major, the order of sme_columns
     columns.update(zip(schema.sme_columns, arr.sigma[:, j, k].T))
-    write_csv(path, list(columns), columns)
+    write_csv(path, columns)
 
 
 def _fmt_column(values) -> list[str]:
-    if isinstance(values, np.ndarray) and values.dtype == float:
-        return [format(v, ".17g") for v in values.tolist()]  # as _fmt, in one pass
+    if isinstance(values, np.ndarray):
+        if values.dtype == float:
+            return [format(v, ".17g") for v in values.tolist()]  # as _fmt, in one pass
+        values = values.tolist()  # numpy bools and ints as Python ones
     return [_fmt(v) for v in values]
 
 
-def write_csv(path, fieldnames, columns) -> None:
+def write_csv(path, columns) -> None:
     """Write a table with deterministic 17-significant-digit floats.
 
-    ``columns`` maps each name in ``fieldnames`` to its sequence of
-    values; a float array column is formatted in one pass.
+    ``columns`` maps each column name, in header order, to its sequence
+    of values; a float array column is formatted in one pass.
     """
-    lines = zip(*(_fmt_column(columns[name]) for name in fieldnames))
+    lines = zip(*(_fmt_column(values) for values in columns.values()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(columns)
         writer.writerows(lines)
 
 

@@ -125,29 +125,25 @@ def jackknife_mspe(
     run as one in-process batch.  A singular leave-one-out system is an
     error identifying the offending area.
     """
-    return _jackknife_arrays(*_stacked(areas), full_fit, config)
+    arr, ids = _stacked(areas)
+    m1_j, m2_j, nonconverged = _jackknife_arrays(arr, ids, full_fit, config)
+    return [
+        JackknifeMspe(area_id, m1, m2, m1 + m2, nonconverged)
+        for area_id, m1, m2 in zip(ids, m1_j.tolist(), m2_j.tolist())
+    ]
 
 
-def _jackknife_arrays(arr, ids, full_fit, config=None) -> list[JackknifeMspe]:
+def _jackknife_arrays(arr, ids, full_fit, config=None):
+    """Per-area m1_j and m2_j arrays and the non-converged refit count."""
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
-        m1_j, m2_j, nonconverged = jackknife_core(
+        return jackknife_core(
             arr,
             full_fit.params.beta,
             full_fit.params.sigma2_nu,
             cfg.max_iterations,
             cfg.rel_tolerance,
         )
-    return [
-        JackknifeMspe(
-            area_id=area_id,
-            m1_j=float(m1_j[i]),
-            m2_j=float(m2_j[i]),
-            total=float(m1_j[i] + m2_j[i]),
-            loo_nonconverged=nonconverged,
-        )
-        for i, area_id in enumerate(ids)
-    ]
 
 
 def _psd_factors(sigma: np.ndarray) -> np.ndarray:
@@ -243,10 +239,19 @@ def bootstrap_mspe(
     rate is logged, and so is the number of refits used that stopped at
     the iteration cap.
     """
-    return _bootstrap_arrays(*_stacked(areas), full_fit, b, seed, config)
+    arr, ids = _stacked(areas)
+    m1_bc, m2_star, used = _bootstrap_arrays(arr, ids, full_fit, b, seed, config)
+    totals = m1_bc + m2_star
+    return [
+        BootstrapMspe(area_id, m1, m2, total, used, total < 0.0)
+        for area_id, m1, m2, total in zip(
+            ids, m1_bc.tolist(), m2_star.tolist(), totals.tolist()
+        )
+    ]
 
 
-def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None) -> list[BootstrapMspe]:
+def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None):
+    """Per-area bias-corrected m1 and m2* arrays and the replicates used."""
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
         m1_bc, m2_star, used, capped = bootstrap_core(
@@ -260,15 +265,4 @@ def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None) -> list[Bootstra
         )
     if capped:
         logger.warning("%d of %d bootstrap refits hit the iteration cap", capped, b)
-    totals = m1_bc + m2_star
-    return [
-        BootstrapMspe(
-            area_id=area_id,
-            m1_bias_corrected=float(m1_bc[i]),
-            m2_star=float(m2_star[i]),
-            total=float(totals[i]),
-            b_replicates=used,
-            negative=bool(totals[i] < 0.0),
-        )
-        for i, area_id in enumerate(ids)
-    ]
+    return m1_bc, m2_star, used

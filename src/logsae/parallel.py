@@ -1,4 +1,4 @@
-"""Worker-count validation and the replicate map.
+"""Worker-count validation.
 
 Everything runs in the calling process.  ``--workers`` and the
 ``LOGSAE_WORKERS`` environment variable are still validated here and
@@ -32,5 +32,5 @@ def resolve_workers(n_workers: int | None = None) -> int:
 
 def ordered_map(fn, items) -> list:
     """Apply ``fn`` to every item, returning results in item order."""
-    # kept until perfbench/layers.py stops tracing it
+    # unused by the package; kept until perfbench/layers.py stops tracing it
     return [fn(item) for item in items]

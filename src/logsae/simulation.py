@@ -32,7 +32,6 @@ from .errors import NumericalError
 from .estimation import FitConfig
 from .model import AreaObservation
 from .mspe import bootstrap_core, jackknife_core
-from .parallel import ordered_map
 
 __all__ = [
     "SyntheticArea",
@@ -86,8 +85,8 @@ class SimulationConfig:
     psi_scale: float = 2.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if self.m <= self.p:  # a fit needs more areas than coefficients
+            raise ValueError(f"m must be > p = {self.p}, got {self.m}")
         if not 0.0 <= self.k_percent <= 100.0:
             raise ValueError("k_percent must lie in [0, 100]")
         if self.d < 0.0:
@@ -168,13 +167,14 @@ def generate_population(config: SimulationConfig, replicate: int) -> list[Synthe
 
 @dataclass
 class SimulationReport:
-    """Study output: named row tables plus a scalar summary.
+    """Study output: named column tables plus a scalar summary.
 
-    ``wall_clock_seconds`` is the only non-deterministic field; the JSON
-    form (`to_json_dict`) excludes it so that equal-seed runs serialize
-    identically.  ``grid`` holds the m and k values of a study run over
-    several (m, k) cells; they replace the single values of ``config`` in
-    the JSON form.
+    Each table maps column names, in CSV header order, to equal-length
+    columns.  ``wall_clock_seconds`` is the only non-deterministic field;
+    the JSON form (`to_json_dict`) excludes it so that equal-seed runs
+    serialize identically, and lists each table as rows.  ``grid`` holds
+    the m and k values of a study run over several (m, k) cells; they
+    replace the single values of ``config`` in the JSON form.
     """
 
     study: str
@@ -182,7 +182,7 @@ class SimulationReport:
     r_completed: int
     r_failed: int
     wall_clock_seconds: float
-    tables: dict[str, list[dict]] = field(default_factory=dict)
+    tables: dict[str, dict] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
@@ -193,6 +193,10 @@ class SimulationReport:
     def to_json_dict(self) -> dict:
         config = dataclasses.asdict(self.config) | self.grid
         config["beta_true"] = list(config["beta_true"])
+        tables = {}
+        for name, columns in self.tables.items():
+            values = zip(*(np.asarray(v).tolist() for v in columns.values()))
+            tables[name] = [dict(zip(columns, row)) for row in values]
         return {
             "study": self.study,
             "config": config,
@@ -200,7 +204,7 @@ class SimulationReport:
             "r_completed": self.r_completed,
             "r_failed": self.r_failed,
             "summary": self.summary,
-            "tables": self.tables,
+            "tables": tables,
         }
 
 
@@ -208,31 +212,36 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x != 0.0 else float("-inf")
 
 
-def _run_cell(fn, cell: SimulationConfig, fit_config, **kwargs):
-    """Run ``fn`` on every replicate of one (m, k) cell.
+def _replicate_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading replicate axis, in replicate order."""
+    return np.cumsum(x, axis=0)[-1]
 
-    Returns the ``(replicate, result)`` pairs of the replicates that
-    succeeded, in replicate order, and the number that failed; raises
-    `NumericalError` naming the cell when every replicate failed.
+
+def _run_cell(fn, cell: SimulationConfig, fit_config, **kwargs):
+    """Run ``fn`` on every replicate of one (m, k) cell, in turn.
+
+    Returns the replicates that succeeded, in order, each of ``fn``'s
+    outputs stacked along a leading replicate axis, and the number that
+    failed; raises `NumericalError` naming the cell when every replicate
+    failed.
     """
     cfg = fit_config if fit_config is not None else FitConfig()
     kwargs |= dict(
         config=cell, max_iterations=cfg.max_iterations, rel_tolerance=cfg.rel_tolerance
     )
-
-    def task(replicate):
+    done, results = [], []
+    for replicate in range(cell.r_replications):
         try:
-            return fn(replicate, **kwargs)
+            results.append(fn(replicate, **kwargs))
         except NumericalError:  # the replicate counts as failed
-            return None
-
-    results = ordered_map(task, range(cell.r_replications))
-    done = [(r, res) for r, res in enumerate(results) if res is not None]
+            continue
+        done.append(replicate)
     if not done:
         raise NumericalError(
             f"every replicate failed at m={cell.m}, k={cell.k_percent:g}"
         )
-    return done, cell.r_replications - len(done)
+    outputs = [np.stack(output) for output in zip(*results)]
+    return np.array(done), outputs, cell.r_replications - len(done)
 
 
 def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig]:
@@ -287,23 +296,12 @@ def run_emse_study(
     prediction fails numerically are dropped and counted.
     """
     t0 = time.perf_counter()
-    done, failed = _run_cell(_emse_replicate, config, fit_config)
-    n_est = len(EMSE_ESTIMATORS)
-    sq_sum = np.zeros((n_est, config.m))
-    pred_sum = np.zeros((n_est, config.m))
-    for _, (sq_err, pred_matrix) in done:
-        sq_sum += sq_err
-        pred_sum += pred_matrix
-    completed = len(done)
-    emse = sq_sum / completed  # (n_est, m)
-    mean_pred = pred_sum / completed
-    per_area = [
-        {
-            "area": i + 1,
-            **{f"emse_{name}": float(emse[k, i]) for k, name in enumerate(EMSE_ESTIMATORS)},
-        }
-        for i in range(config.m)
-    ]
+    replicates, (sq_err, pred), failed = _run_cell(_emse_replicate, config, fit_config)
+    completed = len(replicates)
+    emse = _replicate_sum(sq_err) / completed  # (n_est, m)
+    mean_pred = _replicate_sum(pred) / completed
+    per_area = {"area": np.arange(1, config.m + 1)}
+    per_area |= {f"emse_{name}": emse[k] for k, name in enumerate(EMSE_ESTIMATORS)}
     emse_avg = {name: float(emse[k].mean()) for k, name in enumerate(EMSE_ESTIMATORS)}
     pred_avg = {
         name: float(mean_pred[k].mean()) for k, name in enumerate(EMSE_ESTIMATORS)
@@ -360,51 +358,39 @@ def run_mspe_study(
     relative biases over areas.  A per-replicate table of area-averaged
     values backs distributional plots.
     """
+    if config.m < config.p + 2:  # the jackknife refits on m - 1 areas
+        raise ValueError(f"m must be >= p + 2 = {config.p + 2}, got {config.m}")
     t0 = time.perf_counter()
-    done, failed = _run_cell(_mspe_replicate, config, fit_config)
-    m = config.m
-    sq_sum = np.zeros(m)
-    jk_sum = np.zeros(m)
-    bt_sum = np.zeros(m)
-    bt_neg = np.zeros(m)
-    replicate_rows = []
-    for r, (sq_err, jk_total, bt_total) in done:
-        sq_sum += sq_err
-        jk_sum += jk_total
-        bt_sum += bt_total
-        bt_neg += bt_total < 0.0
-        replicate_rows.append(
-            {
-                "replicate": r,
-                "sq_error_area_mean": float(sq_err.mean()),
-                "mspe_jackknife_area_mean": float(jk_total.mean()),
-                "mspe_bootstrap_area_mean": float(bt_total.mean()),
-            }
-        )
-    completed = len(done)
-    emse = sq_sum / completed
-    jk_mean = jk_sum / completed
-    bt_mean = bt_sum / completed
+    replicates, (sq_err, jk_total, bt_total), failed = _run_cell(
+        _mspe_replicate, config, fit_config
+    )
+    completed = len(replicates)
+    emse = _replicate_sum(sq_err) / completed
+    jk_mean = _replicate_sum(jk_total) / completed
+    bt_mean = _replicate_sum(bt_total) / completed
+    bt_neg_share = _replicate_sum(bt_total < 0.0) / completed
     rb_jk = (jk_mean - emse) / emse
     rb_bt = (bt_mean - emse) / emse
-    per_area = []
-    for i in range(m):
-        per_area.append(
-            {
-                "area": i + 1,
-                "emse": float(emse[i]),
-                "emse_log": _log_abs(float(emse[i])),
-                "mspe_jackknife_mean": float(jk_mean[i]),
-                "mspe_jackknife_mean_log_abs": _log_abs(float(jk_mean[i])),
-                "mspe_jackknife_mean_negative": bool(jk_mean[i] < 0.0),
-                "mspe_bootstrap_mean": float(bt_mean[i]),
-                "mspe_bootstrap_mean_log_abs": _log_abs(float(bt_mean[i])),
-                "mspe_bootstrap_mean_negative": bool(bt_mean[i] < 0.0),
-                "rb_jackknife": float(rb_jk[i]),
-                "rb_bootstrap": float(rb_bt[i]),
-                "bootstrap_negative_share": float(bt_neg[i] / completed),
-            }
-        )
+    per_area = {
+        "area": np.arange(1, config.m + 1),
+        "emse": emse,
+        "emse_log": [_log_abs(v) for v in emse.tolist()],
+        "mspe_jackknife_mean": jk_mean,
+        "mspe_jackknife_mean_log_abs": [_log_abs(v) for v in jk_mean.tolist()],
+        "mspe_jackknife_mean_negative": jk_mean < 0.0,
+        "mspe_bootstrap_mean": bt_mean,
+        "mspe_bootstrap_mean_log_abs": [_log_abs(v) for v in bt_mean.tolist()],
+        "mspe_bootstrap_mean_negative": bt_mean < 0.0,
+        "rb_jackknife": rb_jk,
+        "rb_bootstrap": rb_bt,
+        "bootstrap_negative_share": bt_neg_share,
+    }
+    replicate_means = {
+        "replicate": replicates,
+        "sq_error_area_mean": sq_err.mean(axis=1),
+        "mspe_jackknife_area_mean": jk_total.mean(axis=1),
+        "mspe_bootstrap_area_mean": bt_total.mean(axis=1),
+    }
     rb_jk_avg = float(rb_jk.mean())
     rb_bt_avg = float(rb_bt.mean())
     summary = {
@@ -417,7 +403,7 @@ def run_mspe_study(
         "rb_bootstrap_avg": rb_bt_avg,
         "rb_bootstrap_avg_log_abs_pct": _log_abs(100.0 * rb_bt_avg),
         "rb_bootstrap_avg_negative": rb_bt_avg < 0.0,
-        "bootstrap_negative_share_avg": float((bt_neg / completed).mean()),
+        "bootstrap_negative_share_avg": float(bt_neg_share.mean()),
     }
     return SimulationReport(
         study="mspe",
@@ -425,7 +411,7 @@ def run_mspe_study(
         r_completed=completed,
         r_failed=failed,
         wall_clock_seconds=time.perf_counter() - t0,
-        tables={"per_area": per_area, "replicates": replicate_rows},
+        tables={"per_area": per_area, "replicates": replicate_means},
         summary=summary,
     )
 
@@ -457,32 +443,32 @@ def zero_proportion_study(
     `ValueError` before any replicate runs.
     """
     t0 = time.perf_counter()
-    rows = []
-    for cell in _grid(config, m_values, k_values):
-        done, failed = _run_cell(_zeros_replicate, cell, fit_config)
-        counts = np.zeros(3)
-        for _, flags in done:
-            counts += flags
-        completed = len(done)
-        rows.append(
-            {
-                "m": cell.m,
-                "k_percent": cell.k_percent,
-                "zero_sigma_aware": float(counts[0] / completed),
-                "zero_sigma_ignored": float(counts[1] / completed),
-                "zero_true_covariate": float(counts[2] / completed),
-                "r_completed": completed,
-                "r_failed": failed,
-            }
-        )
+    cells = _grid(config, m_values, k_values)
+    shares, completed, failed = [], [], []
+    for cell in cells:
+        replicates, flags, n_failed = _run_cell(_zeros_replicate, cell, fit_config)
+        shares.append([_replicate_sum(f) / len(replicates) for f in flags])
+        completed.append(len(replicates))
+        failed.append(n_failed)
+    completed, failed = np.array(completed), np.array(failed)
+    shares = np.reshape(shares, (-1, 3))
+    proportions = {
+        "m": np.array([cell.m for cell in cells]),
+        "k_percent": np.array([cell.k_percent for cell in cells]),
+        "zero_sigma_aware": shares[:, 0],
+        "zero_sigma_ignored": shares[:, 1],
+        "zero_true_covariate": shares[:, 2],
+        "r_completed": completed,
+        "r_failed": failed,
+    }
     grid = {"m": [int(m) for m in m_values], "k_percent": [float(k) for k in k_values]}
     return SimulationReport(
         study="zeros",
         config=config,
-        r_completed=sum(row["r_completed"] for row in rows),
-        r_failed=sum(row["r_failed"] for row in rows),
+        r_completed=int(completed.sum()),
+        r_failed=int(failed.sum()),
         wall_clock_seconds=time.perf_counter() - t0,
-        tables={"proportions": rows},
+        tables={"proportions": proportions},
         summary={"m_values": grid["m"], "k_values": grid["k_percent"]},
         grid=grid,
     )
@@ -523,36 +509,34 @@ def misspecification_study(
     if k_values is None:
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
-    rows = []
-    for cell in _grid(config, [config.m], k_values):
-        done, failed = _run_cell(
+    cells = _grid(config, [config.m], k_values)
+    stats, completed, failed = [], [], []
+    for cell in cells:
+        replicates, (bt, bm), n_failed = _run_cell(
             _misspec_replicate, cell, fit_config, d_mis=float(d_mis)
         )
-        diffs = []
-        bias_true = []
-        bias_mis = []
-        for _, (bt, bm) in done:
-            diffs.append(abs(bt - bm))
-            bias_true.append(bt - beta_target)
-            bias_mis.append(bm - beta_target)
-        completed = len(done)
-        rows.append(
-            {
-                "k_percent": cell.k_percent,
-                "mean_abs_diff_x100": float(100.0 * np.mean(diffs)),
-                "bias_true_d_x100": float(100.0 * np.mean(bias_true)),
-                "bias_mis_d_x100": float(100.0 * np.mean(bias_mis)),
-                "r_completed": completed,
-                "r_failed": failed,
-            }
+        stats.append(
+            [np.mean(np.abs(bt - bm)), np.mean(bt - beta_target), np.mean(bm - beta_target)]
         )
+        completed.append(len(replicates))
+        failed.append(n_failed)
+    completed, failed = np.array(completed), np.array(failed)
+    stats_x100 = 100.0 * np.reshape(stats, (-1, 3))
+    sensitivity = {
+        "k_percent": np.array([cell.k_percent for cell in cells]),
+        "mean_abs_diff_x100": stats_x100[:, 0],
+        "bias_true_d_x100": stats_x100[:, 1],
+        "bias_mis_d_x100": stats_x100[:, 2],
+        "r_completed": completed,
+        "r_failed": failed,
+    }
     return SimulationReport(
         study="misspec",
         config=config,
-        r_completed=sum(row["r_completed"] for row in rows),
-        r_failed=sum(row["r_failed"] for row in rows),
+        r_completed=int(completed.sum()),
+        r_failed=int(failed.sum()),
         wall_clock_seconds=time.perf_counter() - t0,
-        tables={"sensitivity": rows},
+        tables={"sensitivity": sensitivity},
         summary={"d_true": float(config.d), "d_mis": float(d_mis)},
         grid={"m": [config.m], "k_percent": [float(k) for k in k_values]},
     )

@@ -154,7 +154,7 @@ def test_criterion_4_misspecification_anchors(capsys):
     report = sim.misspecification_study(
         config, d_mis=4.0, k_values=[0.0, 20.0, 50.0, 80.0, 100.0]
     )
-    diffs = [row["mean_abs_diff_x100"] for row in report.tables["sensitivity"]]
+    diffs = report.tables["sensitivity"]["mean_abs_diff_x100"].tolist()
     ok = diffs[0] == 0.0
     detail = f"k=0 gave {diffs[0]!r}, expected exact 0"
     if ok:
@@ -173,20 +173,22 @@ def test_criterion_4_misspecification_anchors(capsys):
 def test_criterion_5_zero_proportion_ranges(capsys):
     config = sim.SimulationConfig(m=20, r_replications=500, seed=1)
     report = sim.zero_proportion_study(config)
-    rows = {(r["m"], r["k_percent"]): r for r in report.tables["proportions"]}
+    table = report.tables["proportions"]
+    cells = zip(table["m"].tolist(), table["k_percent"].tolist())
+    share = dict(zip(cells, table["zero_true_covariate"].tolist()))
     reps = 500
     ok = True
     detail = ""
     for k in sim.DEFAULT_K_GRID:
-        p20 = rows[(20, k)]["zero_true_covariate"]
-        p500 = rows[(500, k)]["zero_true_covariate"]
+        p20 = share[(20, k)]
+        p500 = share[(500, k)]
         if not 0.2 <= p20 <= 0.6:
             ok, detail = False, f"m=20 k={k}: {p20} outside [0.2, 0.6]"
             break
         if not 0.0 <= p500 <= 0.10:
             ok, detail = False, f"m=500 k={k}: {p500} outside [0, 0.10]"
             break
-        trail = [rows[(m, k)]["zero_true_covariate"] for m in sim.DEFAULT_M_GRID]
+        trail = [share[(m, k)] for m in sim.DEFAULT_M_GRID]
         for a, b in zip(trail, trail[1:]):
             slack = 3.0 * math.sqrt(
                 a * (1 - a) / reps + b * (1 - b) / reps

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reruns."""
 
 import contextlib
+import csv
 import io
 import json
 import warnings
@@ -176,6 +177,37 @@ def test_simulate_rerun_identical_across_workers(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def _csv_value(text, like):
+    # a CSV cell read back as the type of its report.json counterpart
+    if isinstance(like, bool):
+        return {"true": True, "false": False}[text]
+    return type(like)(text)
+
+
+@pytest.mark.parametrize(
+    "study, argv",
+    [
+        ("emse", "--m 6 --k 50 --r 3"),
+        ("mspe", "--m 6 --k 50 --r 2 --b 4"),
+        ("zeros", "--m 6 8 --k 0 50 --r 3"),
+        ("misspec", "--m 6 --k 0 50 --r 3"),
+    ],
+)
+def test_report_tables_equal_the_csvs(tmp_path, study, argv):
+    out = tmp_path / study
+    assert main(["simulate", "--study", study, *argv.split(), "--out", str(out)]) == 0
+    tables = json.loads((out / "report.json").read_text())["tables"]
+    csv_names = sorted(path.name for path in out.glob("*.csv"))
+    assert csv_names == sorted(f"{study}_{name}.csv" for name in tables)
+    for name, rows in tables.items():
+        with open(out / f"{study}_{name}.csv", newline="", encoding="utf-8") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert len(csv_rows) == len(rows) > 0
+        for row, csv_row in zip(rows, csv_rows):
+            assert csv_row.keys() == row.keys()
+            assert {key: _csv_value(csv_row[key], v) for key, v in row.items()} == row
+
+
 def test_simulate_misspec_zero_row(tmp_path):
     out = tmp_path / "mis"
     code = main(
@@ -214,6 +246,10 @@ def test_bad_config_value_exits_two(tmp_path, capsys):
         ("d", "--study mspe --m 8 --k 0 --d nan --r 2 --b 4"),
         ("d", "--study emse --m 8 --k 50 --d inf --r 3"),
         ("d_mis", "--study misspec --m 8 --k 50 --d-mis nan --r 3"),
+        # too few areas to fit, or to refit leaving one out
+        ("m", "--study emse --m 1"),
+        ("m", "--study mspe --m 2"),
+        ("m", "--study zeros --m 20 1 --k 0"),
     ]
     for i, (field, argv) in enumerate(cases):
         out = tmp_path / str(i)

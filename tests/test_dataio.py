@@ -489,7 +489,7 @@ class TestWriteCsv:
             "count": [3, 4, 5],
             "flag": [True, False, True],
         }
-        write_csv(tmp_path / "t.csv", list(columns), columns)
+        write_csv(tmp_path / "t.csv", columns)
         assert (tmp_path / "t.csv").read_bytes() == (
             b"area_id,value,count,flag\r\n"
             b"a,0.33333333333333331,3,true\r\n"

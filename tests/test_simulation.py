@@ -148,13 +148,14 @@ class TestEmseStudy:
         pop = sim.generate_population(config, 0)
         areas = [a.obs for a in pop]
         preds = oracle_eb(areas, fit(areas).params)
-        for i, row in enumerate(report.tables["per_area"]):
+        table = report.tables["per_area"]
+        for i in range(config.m):
             direct = math.exp(areas[i].z)
-            assert row["emse_direct"] == pytest.approx(
+            assert table["emse_direct"][i] == pytest.approx(
                 (direct - pop[i].Y) ** 2, rel=1e-12
             )
             eb = preds[i]
-            assert row["emse_eb_full"] == pytest.approx(
+            assert table["emse_eb_full"][i] == pytest.approx(
                 (eb - pop[i].Y) ** 2, rel=1e-10
             )
 
@@ -162,8 +163,10 @@ class TestEmseStudy:
         config = cfg(m=8, r_replications=3)
         full = sim.run_emse_study(config)
         starved = sim.run_emse_study(config, fit_config=FitConfig(max_iterations=1))
-        for a, b in zip(full.tables["per_area"], starved.tables["per_area"]):
-            assert a["emse_direct"] == b["emse_direct"]
+        np.testing.assert_array_equal(
+            full.tables["per_area"]["emse_direct"],
+            starved.tables["per_area"]["emse_direct"],
+        )
 
     def test_summary_carries_raw_and_log(self):
         report = sim.run_emse_study(cfg(m=6, r_replications=2))
@@ -199,24 +202,48 @@ class TestMspeStudy:
             preds = oracle_eb(areas, fit(areas).params)
             sq += (preds - np.array([a.Y for a in pop])) ** 2
         emse = sq / 3
-        for i, row in enumerate(report.tables["per_area"]):
-            assert row["emse"] == pytest.approx(emse[i], rel=1e-10)
-            assert row["rb_jackknife"] == pytest.approx(
+        table = report.tables["per_area"]
+        for i in range(5):
+            assert table["emse"][i] == pytest.approx(emse[i], rel=1e-10)
+            assert table["rb_jackknife"][i] == pytest.approx(
                 (7.0 - emse[i]) / emse[i], rel=1e-9
             )
-            assert row["rb_bootstrap"] == pytest.approx(
+            assert table["rb_bootstrap"][i] == pytest.approx(
                 (2.0 - emse[i]) / emse[i], rel=1e-9
             )
 
     def test_replicate_table_and_negative_share(self):
         config = cfg(m=6, k_percent=50.0, r_replications=3, b_bootstrap=6)
         report = sim.run_mspe_study(config)
-        assert len(report.tables["replicates"]) == report.r_completed
-        for row in report.tables["per_area"]:
-            assert 0.0 <= row["bootstrap_negative_share"] <= 1.0
-            assert row["mspe_bootstrap_mean_negative"] == (
-                row["mspe_bootstrap_mean"] < 0.0
-            )
+        assert len(report.tables["replicates"]["replicate"]) == report.r_completed
+        table = report.tables["per_area"]
+        assert np.all(0.0 <= table["bootstrap_negative_share"])
+        assert np.all(table["bootstrap_negative_share"] <= 1.0)
+        np.testing.assert_array_equal(
+            table["mspe_bootstrap_mean_negative"], table["mspe_bootstrap_mean"] < 0.0
+        )
+
+    def test_columns_equal_a_running_sum_over_replicates(self):
+        # the study's array reductions against the per-replicate loop,
+        # summing in replicate order, bit for bit
+        config = cfg(m=6, k_percent=50.0, r_replications=4, b_bootstrap=6)
+        report = sim.run_mspe_study(config)
+        cap, tol = FitConfig().max_iterations, FitConfig().rel_tolerance
+        sums = np.zeros((3, config.m))
+        means = []
+        for r in range(config.r_replications):
+            outputs = sim._mspe_replicate(r, config, cap, tol)
+            for total, values in zip(sums, outputs):
+                total += values
+            means.append([float(values.mean()) for values in outputs])
+        emse, jk_mean, bt_mean = sums / config.r_replications
+        table = report.tables["per_area"]
+        assert table["emse"].tolist() == emse.tolist()
+        assert table["mspe_jackknife_mean"].tolist() == jk_mean.tolist()
+        assert table["mspe_bootstrap_mean"].tolist() == bt_mean.tolist()
+        names = ("sq_error_area_mean", "mspe_jackknife_area_mean", "mspe_bootstrap_area_mean")
+        for name, column in zip(names, zip(*means)):
+            assert report.tables["replicates"][name].tolist() == list(column)
 
     @pytest.mark.slow
     def test_relative_bias_not_worse_at_large_m(self):
@@ -239,29 +266,29 @@ class TestZeroProportionStudy:
     def test_columns_coincide_without_measurement_error(self):
         config = cfg(m=10, r_replications=20)
         report = sim.zero_proportion_study(config, m_values=(10,), k_values=(0.0,))
-        row = report.tables["proportions"][0]
-        assert row["zero_sigma_aware"] == row["zero_sigma_ignored"]
-        assert row["zero_sigma_aware"] == row["zero_true_covariate"]
+        table = report.tables["proportions"]
+        assert table["zero_sigma_aware"][0] == table["zero_sigma_ignored"][0]
+        assert table["zero_sigma_aware"][0] == table["zero_true_covariate"][0]
 
     def test_large_signal_variance_never_truncates(self):
         config = cfg(m=10, r_replications=15, sigma2_nu_true=1e6)
         report = sim.zero_proportion_study(config, m_values=(10,), k_values=(0.0, 50.0))
-        for row in report.tables["proportions"]:
-            assert row["zero_sigma_aware"] == 0.0
-            assert row["zero_true_covariate"] == 0.0
+        table = report.tables["proportions"]
+        assert table["zero_sigma_aware"].tolist() == [0.0, 0.0]
+        assert table["zero_true_covariate"].tolist() == [0.0, 0.0]
 
     def test_truncation_grows_as_signal_shrinks(self):
         weak = sim.zero_proportion_study(
             cfg(m=20, r_replications=60, sigma2_nu_true=0.25),
             m_values=(20,),
             k_values=(0.0,),
-        ).tables["proportions"][0]
+        ).tables["proportions"]
         strong = sim.zero_proportion_study(
             cfg(m=20, r_replications=60, sigma2_nu_true=8.0),
             m_values=(20,),
             k_values=(0.0,),
-        ).tables["proportions"][0]
-        assert weak["zero_true_covariate"] > strong["zero_true_covariate"]
+        ).tables["proportions"]
+        assert weak["zero_true_covariate"][0] > strong["zero_true_covariate"][0]
 
 
 class TestMisspecificationStudy:
@@ -269,24 +296,24 @@ class TestMisspecificationStudy:
         report = sim.misspecification_study(
             cfg(m=8, r_replications=4, d=2.0), d_mis=4.0, k_values=[0.0]
         )
-        row = report.tables["sensitivity"][0]
-        assert row["mean_abs_diff_x100"] == 0.0
-        assert row["bias_true_d_x100"] == row["bias_mis_d_x100"]
+        table = report.tables["sensitivity"]
+        assert table["mean_abs_diff_x100"][0] == 0.0
+        assert table["bias_true_d_x100"][0] == table["bias_mis_d_x100"][0]
 
     def test_equal_variances_give_exact_zero_everywhere(self):
         report = sim.misspecification_study(
             cfg(m=8, r_replications=4, d=2.0), d_mis=2.0,
             k_values=[0.0, 50.0, 100.0],
         )
-        for row in report.tables["sensitivity"]:
-            assert row["mean_abs_diff_x100"] == 0.0
+        table = report.tables["sensitivity"]
+        assert table["mean_abs_diff_x100"].tolist() == [0.0, 0.0, 0.0]
 
     def test_data_are_drawn_with_config_d(self):
         tables = []
         for d in (2.0, 3.0):
             report = sim.misspecification_study(cfg(m=8, d=d), d_mis=4.0)
             assert report.summary["d_true"] == report.config.d == d
-            tables.append(report.tables["sensitivity"])
+            tables.append(report.to_json_dict()["tables"]["sensitivity"])
         assert tables[0] != tables[1]
 
     def test_multivariate_covariates_rejected(self):
