@@ -43,8 +43,6 @@ from .mspe import BootstrapMspe, JackknifeMspe, bootstrap_mspe, jackknife_mspe
 from .simulation import (
     SimulationConfig,
     SimulationReport,
-    SyntheticArea,
-    generate_population,
     misspecification_study,
     run_emse_study,
     run_mspe_study,
@@ -90,8 +88,6 @@ __all__ = [
     # simulation
     "SimulationConfig",
     "SimulationReport",
-    "SyntheticArea",
-    "generate_population",
     "run_emse_study",
     "run_mspe_study",
     "zero_proportion_study",

@@ -60,6 +60,11 @@ def _write_fit(model_fit: ModelFit, ids, out) -> None:
     dataio.write_json(fit_dict, os.path.join(out, "fit.json"))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_params(path, p) -> ModelParams:
     """The parameters of a fit.json; ``p``, unless None, is the dataset's
     covariate count, which ``beta`` must match."""
@@ -68,17 +73,20 @@ def _load_params(path, p) -> ModelParams:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read parameter file {path!r}: {exc}") from None
-    try:
-        beta = np.asarray([float(b) for b in payload["beta"]], dtype=float)
-        sigma2 = float(payload["sigma2_nu"])
-    except (KeyError, TypeError, ValueError) as exc:
+    if not isinstance(payload, dict):
+        raise ParseError(f"parameter file {path!r} must hold a JSON object")
+    beta, sigma2 = payload.get("beta"), payload.get("sigma2_nu")
+    if not (isinstance(beta, list) and all(map(_is_number, beta))):
         raise ParseError(
-            f"parameter file {path!r} must contain 'beta' (list) and "
-            f"'sigma2_nu' (number): {exc}"
-        ) from None
+            f"parameter file {path!r}: 'beta' must be a list of numbers, got {beta!r}"
+        )
+    if not _is_number(sigma2):
+        raise ParseError(
+            f"parameter file {path!r}: 'sigma2_nu' must be a number, got {sigma2!r}"
+        )
     try:
-        params = ModelParams(beta=beta, sigma2_nu=sigma2)
-    except ValueError as exc:
+        params = ModelParams(beta=np.array(beta, dtype=float), sigma2_nu=float(sigma2))
+    except (ValueError, OverflowError) as exc:  # an int too large for a float
         raise ParseError(f"parameter file {path!r}: {exc}") from None
     if p is not None and params.p != p:
         raise ParseError(

@@ -196,16 +196,16 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
 
 
-def load_arrays(path, schema: DatasetSchema | None = None):
+def load_arrays(path):
     """Parse a dataset CSV into ``(ids, AreaArrays)``, in file order.
 
     ``ids`` is the list of area ids; the arrays hold ``z`` (m,), ``w``
     (m, p), ``psi`` (m,) and ``sigma`` (m, p, p) on the log scale, with
-    raw-scale values (y, x_j) logged after a strict positivity check.  A
-    ``schema`` argument, when given, must match the header exactly.
-    Every row gets the checks of `load_dataset`, run column by column;
-    the error raised is the one for the first bad line, and within that
-    line for the first failed check in the order: cell count, area_id
+    raw-scale values (y, x_j) logged after a strict positivity check;
+    the header fixes the schema.  Every row gets the checks of
+    `load_dataset`, run column by column; the error raised is the one for
+    the first bad line, and within that line for the first failed check
+    in the order: cell count, area_id
     (missing, then repeated), then each column of the schema (response,
     covariates, psi, covariance entries) with its range check, and last
     the covariance's symmetric-PSD test.  A row is named by the line its
@@ -217,10 +217,7 @@ def load_arrays(path, schema: DatasetSchema | None = None):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            found = DatasetSchema.from_fieldnames(header)
-            if schema is not None and schema != found:
-                raise ParseError(f"header declares schema {found}, expected {schema}")
-            schema = found
+            schema = DatasetSchema.from_fieldnames(header)
             rows, lines = [], []
             start = reader.line_num + 1
             for row in reader:
@@ -326,15 +323,14 @@ def load_arrays(path, schema: DatasetSchema | None = None):
     return ids, _arrays.build(z, w, psi, sigma)
 
 
-def load_dataset(path, schema: DatasetSchema | None = None) -> list[AreaObservation]:
+def load_dataset(path) -> list[AreaObservation]:
     """Parse a dataset CSV into areas, preserving file order.
 
     Raw-scale values (y, x_j) are log-transformed after a strict
-    positivity check.  A ``schema`` argument, when given, must match the
-    header exactly.  Area ids must be unique.  Errors pinpoint the
+    positivity check.  Area ids must be unique.  Errors pinpoint the
     offending line and column.  This is a view over `load_arrays`.
     """
-    ids, arr = load_arrays(path, schema)
+    ids, arr = load_arrays(path)
     return [
         AreaObservation(area_id=area_id, z=z, w=w, psi=psi, sigma_me=sigma)
         for area_id, z, w, psi, sigma in zip(

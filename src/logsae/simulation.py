@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,11 @@ import numpy as np
 from . import _arrays, rng
 from .errors import NumericalError
 from .estimation import FitConfig
-from .model import AreaObservation
 from .mspe import bootstrap_core, jackknife_core
 
 __all__ = [
-    "SyntheticArea",
     "SimulationConfig",
     "SimulationReport",
-    "generate_population",
     "run_emse_study",
     "run_mspe_study",
     "zero_proportion_study",
@@ -49,16 +45,6 @@ EMSE_ESTIMATORS = ("direct", "eb_true_covariate", "eb_sigma_ignored", "eb_full")
 
 DEFAULT_M_GRID = (20, 50, 100, 500)
 DEFAULT_K_GRID = (0.0, 20.0, 50.0, 80.0, 100.0)
-
-
-@dataclass(frozen=True)
-class SyntheticArea:
-    """One generated area: latent truth plus the observable record."""
-
-    W: np.ndarray
-    theta: float
-    Y: float
-    obs: AreaObservation
 
 
 @dataclass(frozen=True)
@@ -103,7 +89,8 @@ class SimulationConfig:
         if self.covariate_var <= 0.0 or self.psi_shape <= 0.0 or self.psi_scale <= 0.0:
             raise ValueError("covariate_var, psi_shape, psi_scale must be > 0")
         for name, value in dataclasses.asdict(self).items():  # nan passed the above
-            if not np.isfinite(value).all():
+            # an int is finite; np.isfinite rejects one of 2**64 or more (a seed)
+            if not isinstance(value, int) and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
 
     @property
@@ -144,51 +131,23 @@ def _draw_population(config: SimulationConfig, replicate: int):
     return W, theta, z, w, psi, sigma, me_idx
 
 
-def generate_population(config: SimulationConfig, replicate: int) -> list[SyntheticArea]:
-    """Deterministic synthetic population for (config.seed, replicate)."""
-    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-    Y = _arrays.exp_checked(theta)
-    return [
-        SyntheticArea(
-            W=W[i],
-            theta=float(theta[i]),
-            Y=float(Y[i]),
-            obs=AreaObservation(
-                area_id=f"area_{i + 1}",
-                z=float(z[i]),
-                w=w[i],
-                psi=float(psi[i]),
-                sigma_me=sigma[i],
-            ),
-        )
-        for i in range(config.m)
-    ]
-
-
 @dataclass
 class SimulationReport:
     """Study output: named column tables plus a scalar summary.
 
     Each table maps column names, in CSV header order, to equal-length
-    columns.  ``wall_clock_seconds`` is the only non-deterministic field;
-    the JSON form (`to_json_dict`) excludes it so that equal-seed runs
-    serialize identically, and lists each table as rows.  ``grid`` holds
-    the m and k values of a study run over several (m, k) cells; they
-    replace the single values of ``config`` in the JSON form.
+    columns; the JSON form (`to_json_dict`) lists each table as rows.
+    ``grid`` holds the m and k values of a study run over several (m, k)
+    cells; they replace the single values of ``config`` in the JSON form.
     """
 
     study: str
     config: SimulationConfig
     r_completed: int
     r_failed: int
-    wall_clock_seconds: float
     tables: dict[str, dict] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
     def to_json_dict(self) -> dict:
         config = dataclasses.asdict(self.config) | self.grid
@@ -200,7 +159,7 @@ class SimulationReport:
         return {
             "study": self.study,
             "config": config,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "r_completed": self.r_completed,
             "r_failed": self.r_failed,
             "summary": self.summary,
@@ -242,6 +201,21 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, **kwargs):
         )
     outputs = [np.stack(output) for output in zip(*results)]
     return np.array(done), outputs, cell.r_replications - len(done)
+
+
+def _run_grid(fn, cells, fit_config, reduce, **kwargs):
+    """Run ``fn`` on every cell and reduce each cell's outputs to one row.
+
+    Returns the rows as columns, one per value ``reduce(*outputs)``
+    returns, and the per-cell completed and failed replicate counts.
+    """
+    rows, completed, failed = [], [], []
+    for cell in cells:
+        replicates, outputs, n_failed = _run_cell(fn, cell, fit_config, **kwargs)
+        rows.append(reduce(*outputs))
+        completed.append(len(replicates))
+        failed.append(n_failed)
+    return np.array(rows).T, np.array(completed), np.array(failed)
 
 
 def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig]:
@@ -295,7 +269,6 @@ def run_emse_study(
     log-rescaled MSEs and mean predictions.  Replicates where any fit or
     prediction fails numerically are dropped and counted.
     """
-    t0 = time.perf_counter()
     replicates, (sq_err, pred), failed = _run_cell(_emse_replicate, config, fit_config)
     completed = len(replicates)
     emse = _replicate_sum(sq_err) / completed  # (n_est, m)
@@ -318,7 +291,6 @@ def run_emse_study(
         config=config,
         r_completed=completed,
         r_failed=failed,
-        wall_clock_seconds=time.perf_counter() - t0,
         tables={"per_area": per_area},
         summary=summary,
     )
@@ -360,7 +332,6 @@ def run_mspe_study(
     """
     if config.m < config.p + 2:  # the jackknife refits on m - 1 areas
         raise ValueError(f"m must be >= p + 2 = {config.p + 2}, got {config.m}")
-    t0 = time.perf_counter()
     replicates, (sq_err, jk_total, bt_total), failed = _run_cell(
         _mspe_replicate, config, fit_config
     )
@@ -410,7 +381,6 @@ def run_mspe_study(
         config=config,
         r_completed=completed,
         r_failed=failed,
-        wall_clock_seconds=time.perf_counter() - t0,
         tables={"per_area": per_area, "replicates": replicate_means},
         summary=summary,
     )
@@ -442,22 +412,19 @@ def zero_proportion_study(
     fit on the exactly observed covariate.  A repeated m or k raises
     `ValueError` before any replicate runs.
     """
-    t0 = time.perf_counter()
     cells = _grid(config, m_values, k_values)
-    shares, completed, failed = [], [], []
-    for cell in cells:
-        replicates, flags, n_failed = _run_cell(_zeros_replicate, cell, fit_config)
-        shares.append([_replicate_sum(f) / len(replicates) for f in flags])
-        completed.append(len(replicates))
-        failed.append(n_failed)
-    completed, failed = np.array(completed), np.array(failed)
-    shares = np.reshape(shares, (-1, 3))
+    (aware, ignored, true_covariate), completed, failed = _run_grid(
+        _zeros_replicate,
+        cells,
+        fit_config,
+        lambda *flags: [_replicate_sum(f) / len(f) for f in flags],
+    )
     proportions = {
         "m": np.array([cell.m for cell in cells]),
         "k_percent": np.array([cell.k_percent for cell in cells]),
-        "zero_sigma_aware": shares[:, 0],
-        "zero_sigma_ignored": shares[:, 1],
-        "zero_true_covariate": shares[:, 2],
+        "zero_sigma_aware": aware,
+        "zero_sigma_ignored": ignored,
+        "zero_true_covariate": true_covariate,
         "r_completed": completed,
         "r_failed": failed,
     }
@@ -467,7 +434,6 @@ def zero_proportion_study(
         config=config,
         r_completed=int(completed.sum()),
         r_failed=int(failed.sum()),
-        wall_clock_seconds=time.perf_counter() - t0,
         tables={"proportions": proportions},
         summary={"m_values": grid["m"], "k_values": grid["k_percent"]},
         grid=grid,
@@ -505,28 +471,25 @@ def misspecification_study(
         raise ValueError("misspecification_study supports a single covariate only")
     if not (math.isfinite(d_mis) and d_mis >= 0.0):
         raise ValueError(f"d_mis must be finite and >= 0, got {d_mis}")
-    t0 = time.perf_counter()
     if k_values is None:
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
     cells = _grid(config, [config.m], k_values)
-    stats, completed, failed = [], [], []
-    for cell in cells:
-        replicates, (bt, bm), n_failed = _run_cell(
-            _misspec_replicate, cell, fit_config, d_mis=float(d_mis)
-        )
-        stats.append(
-            [np.mean(np.abs(bt - bm)), np.mean(bt - beta_target), np.mean(bm - beta_target)]
-        )
-        completed.append(len(replicates))
-        failed.append(n_failed)
-    completed, failed = np.array(completed), np.array(failed)
-    stats_x100 = 100.0 * np.reshape(stats, (-1, 3))
+    stats, completed, failed = _run_grid(
+        _misspec_replicate,
+        cells,
+        fit_config,
+        lambda bt, bm: [
+            np.mean(np.abs(bt - bm)), np.mean(bt - beta_target), np.mean(bm - beta_target)
+        ],
+        d_mis=float(d_mis),
+    )
+    abs_diff, bias_true, bias_mis = 100.0 * stats
     sensitivity = {
         "k_percent": np.array([cell.k_percent for cell in cells]),
-        "mean_abs_diff_x100": stats_x100[:, 0],
-        "bias_true_d_x100": stats_x100[:, 1],
-        "bias_mis_d_x100": stats_x100[:, 2],
+        "mean_abs_diff_x100": abs_diff,
+        "bias_true_d_x100": bias_true,
+        "bias_mis_d_x100": bias_mis,
         "r_completed": completed,
         "r_failed": failed,
     }
@@ -535,7 +498,6 @@ def misspecification_study(
         config=config,
         r_completed=int(completed.sum()),
         r_failed=int(failed.sum()),
-        wall_clock_seconds=time.perf_counter() - t0,
         tables={"sensitivity": sensitivity},
         summary={"d_true": float(config.d), "d_mis": float(d_mis)},
         grid={"m": [config.m], "k_percent": [float(k) for k in k_values]},

@@ -261,6 +261,26 @@ def test_bad_config_value_exits_two(tmp_path, capsys):
         assert not (out / "report.json").exists(), argv
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**128 + 1])
+@pytest.mark.parametrize(
+    "study",
+    [
+        "emse --m 6 --r 2",
+        "mspe --m 6 --r 2 --b 4",
+        "zeros --m 6 --k 0 --r 2",
+        "misspec --m 6 --k 50 --r 2",
+    ],
+    ids=lambda study: study.split()[0],
+)
+def test_simulate_seed_past_64_bits_runs(tmp_path, seed, study):
+    # rng keys any non-negative int; only numpy's finiteness test choked on it
+    out = tmp_path / "out"
+    argv = ["simulate", "--study", *study.split(), "--seed", str(seed)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == seed
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
 EXIT_CODES = {
     ValueError: 2,
     errors.DataError: 3,
@@ -353,6 +373,44 @@ def test_params_negative_sigma2_exits_three(dataset, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert path in err["message"] and "sigma2_nu" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"beta": "1", "sigma2_nu": 0.5}, "beta"),  # a string, not a list
+        ({"beta": [1.0, "2"], "sigma2_nu": 0.5}, "beta"),
+        ({"beta": [True], "sigma2_nu": 0.5}, "beta"),
+        ({"beta": {"1": 1.0}, "sigma2_nu": 0.5}, "beta"),
+        ({"sigma2_nu": 0.5}, "beta"),
+        ({"beta": [1.0], "sigma2_nu": "0.5"}, "sigma2_nu"),
+        ({"beta": [1.0], "sigma2_nu": True}, "sigma2_nu"),
+        ({"beta": [1.0], "sigma2_nu": [0.5]}, "sigma2_nu"),
+        ({"beta": [1.0]}, "sigma2_nu"),
+        ({"beta": [10**400], "sigma2_nu": 0.5}, "too large"),
+        ([1.0, 0.5], "JSON object"),
+    ],
+)
+def test_params_of_the_wrong_type_exit_three(dataset, tmp_path, capsys, payload, key):
+    code, path = _predict_with_params(dataset, tmp_path, payload)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert path in err["message"] and key in err["message"]
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+def test_params_with_integer_values_are_read_as_numbers(dataset, tmp_path):
+    code, _ = _predict_with_params(dataset, tmp_path, {"beta": [1], "sigma2_nu": 2})
+    assert code == 0
+    (tmp_path / "f").mkdir()
+    floats, _ = _predict_with_params(
+        dataset, tmp_path / "f", {"beta": [1.0], "sigma2_nu": 2.0}
+    )
+    assert floats == 0
+    assert (tmp_path / "predictions.csv").read_bytes() == (
+        tmp_path / "f" / "predictions.csv"
+    ).read_bytes()
 
 
 def test_predict_overflow_names_area_and_exits_four(tmp_path, capsys):

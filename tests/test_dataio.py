@@ -151,12 +151,6 @@ class TestLoadDataset:
         (area,) = load_dataset(path)
         np.testing.assert_array_equal(area.sigma_me, np.diag([2.0, 0.0]))
 
-    def test_schema_argument_must_match(self, tmp_path):
-        path = write(tmp_path, "area_id,z,w_1,psi,sme_diag_1\na,1,2,0.5,0\n")
-        wanted = DatasetSchema(1, "y", "x", "diag")
-        with pytest.raises(ParseError, match="expected"):
-            load_dataset(path, schema=wanted)
-
     def test_duplicate_area_id_names_both_lines(self, tmp_path):
         text = "area_id,z,w_1,psi,sme_diag_1\na,1,1,1,0\nb,2,1,1,0\na,3,1,1,0\n"
         with pytest.raises(ParseError, match=r"line 4: duplicate area_id 'a'.* line 2"):

@@ -226,6 +226,7 @@ class TestM1Term:
 def test_estimation_error_orthogonal_to_bayes_error():
     # the cross term in the MSPE decomposition vanishes: over replicates,
     # cov(EB - Bayes, Bayes - Y) is statistically zero within z bins
+    from conftest import make_areas
     from logsae import simulation as sim
     from logsae.estimation import fit
 
@@ -240,11 +241,11 @@ def test_estimation_error_orthogonal_to_bayes_error():
     b = np.empty(reps)
     z = np.empty(reps)
     for r in range(reps):
-        pop = sim.generate_population(config, r)
-        areas = [p.obs for p in pop]
+        _, theta, z_r, w, psi, sigma, _ = sim._draw_population(config, r)
+        areas = make_areas(z_r, w, psi, sigma)
         fitted = fit(areas).params
         a[r] = eb_predict(areas[0], fitted) - eb_predict(areas[0], true_params)
-        b[r] = eb_predict(areas[0], true_params) - pop[0].Y
+        b[r] = eb_predict(areas[0], true_params) - np.exp(theta[0])
         z[r] = areas[0].z
     bins = np.digitize(z, np.quantile(z, [0.25, 0.5, 0.75]))
     for mask in [np.ones(reps, bool)] + [bins == k for k in range(4)]:
