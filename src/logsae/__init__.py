@@ -30,6 +30,7 @@ from .errors import (
 from .estimation import FitConfig, ModelFit, estimate_sigma2, fit, solve_beta
 from .model import (
     AreaObservation,
+    Dataset,
     EbPrediction,
     ModelParams,
     PosteriorMoments,
@@ -66,6 +67,7 @@ __all__ = [
     "PredictionOverflow",
     # model
     "AreaObservation",
+    "Dataset",
     "ModelParams",
     "PosteriorMoments",
     "EbPrediction",

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__, dataio, parallel, simulation
 from .errors import DataError, NumericalError, ParseError
-from .estimation import ModelFit, _fit_arrays
-from .model import ModelParams, _predict_arrays
-from .mspe import _bootstrap_arrays, _jackknife_arrays
+from .estimation import ModelFit, fit
+from .model import ModelParams, predict_areas
+from .mspe import bootstrap_mspe, jackknife_mspe
 
 
 def _utc_now() -> str:
@@ -98,10 +98,10 @@ def _load_params(path, p) -> ModelParams:
 
 def cmd_fit(args) -> int:
     started = _utc_now()
-    ids, arr = dataio.load_arrays(args.dataset)
-    model_fit = _fit_arrays(arr, ids)
+    data = dataio.load_arrays(args.dataset)
+    model_fit = fit(data)
     out = _ensure_out(args.out)
-    _write_fit(model_fit, ids, out)
+    _write_fit(model_fit, data.ids, out)
     config = {"dataset": args.dataset}
     _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
@@ -109,20 +109,25 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     started = _utc_now()
-    ids, arr = dataio.load_arrays(args.dataset)
+    data = dataio.load_arrays(args.dataset)
     if args.params:
         # an empty dataset fails as InsufficientAreas whatever its header's p
-        params = _load_params(args.params, arr.p if arr.m else None)
+        params = _load_params(args.params, data.arrays.p if data.ids else None)
         model_fit = None
     else:
-        model_fit = _fit_arrays(arr, ids)
+        model_fit = fit(data)
         params = model_fit.params
-    pred, m1, gamma = _predict_arrays(arr, ids, params)
+    pred = predict_areas(data, params)
     out = _ensure_out(args.out)
-    columns = {"area_id": ids, "prediction": pred, "m1": m1, "gamma": gamma}
+    columns = {
+        "area_id": pred.area_ids,
+        "prediction": pred.prediction,
+        "m1": pred.m1,
+        "gamma": pred.gamma,
+    }
     dataio.write_csv(os.path.join(out, "predictions.csv"), columns)
     if model_fit is not None:
-        _write_fit(model_fit, ids, out)
+        _write_fit(model_fit, data.ids, out)
     config = {"dataset": args.dataset, "params": args.params}
     _write_manifest(args, out, config, None, args.dataset, started, 1)
     return 0
@@ -130,34 +135,33 @@ def cmd_predict(args) -> int:
 
 def cmd_mspe(args) -> int:
     started = _utc_now()
-    ids, arr = dataio.load_arrays(args.dataset)
+    data = dataio.load_arrays(args.dataset)
     workers = parallel.resolve_workers(args.workers)
-    model_fit = _fit_arrays(arr, ids)
+    model_fit = fit(data)
     out = _ensure_out(args.out)
     if args.method == "jackknife":
-        m1_j, m2_j, nonconverged = _jackknife_arrays(arr, ids, model_fit)
+        jk = jackknife_mspe(data, model_fit)
         columns = {
-            "area_id": ids,
-            "m1_j": m1_j,
-            "m2_j": m2_j,
-            "mspe": m1_j + m2_j,
-            "loo_nonconverged": [nonconverged] * arr.m,
+            "area_id": jk.area_ids,
+            "m1_j": jk.m1_j,
+            "m2_j": jk.m2_j,
+            "mspe": jk.total,
+            "loo_nonconverged": [jk.loo_nonconverged] * len(data.ids),
         }
         seed = None
     else:
-        m1_bc, m2_star, used = _bootstrap_arrays(arr, ids, model_fit, args.b, args.seed)
-        totals = m1_bc + m2_star
+        bt = bootstrap_mspe(data, model_fit, args.b, args.seed)
         columns = {
-            "area_id": ids,
-            "m1_bias_corrected": m1_bc,
-            "m2_star": m2_star,
-            "mspe": totals,
-            "negative": totals < 0.0,
-            "b_replicates": [used] * arr.m,
+            "area_id": bt.area_ids,
+            "m1_bias_corrected": bt.m1_bias_corrected,
+            "m2_star": bt.m2_star,
+            "mspe": bt.total,
+            "negative": bt.negative,
+            "b_replicates": [bt.b_replicates] * len(data.ids),
         }
         seed = args.seed
     dataio.write_csv(os.path.join(out, "mspe.csv"), columns)
-    _write_fit(model_fit, ids, out)
+    _write_fit(model_fit, data.ids, out)
     config = {
         "dataset": args.dataset,
         "method": args.method,
@@ -196,10 +200,14 @@ def cmd_simulate(args) -> int:
     if args.study in ("emse", "mspe"):
         run = {"emse": simulation.run_emse_study, "mspe": simulation.run_mspe_study}
         # several k: one run per k, each written as a single k would be into OUT/k<k>/
+        cells = {}
         for cell in simulation._grid(config, m_values, k_values):
-            out = args.out
-            if len(k_values) > 1:
-                out = os.path.join(out, f"k{cell.k_percent:g}")
+            name, k = f"k{cell.k_percent:g}", cell.k_percent
+            first = cells.setdefault(name, cell).k_percent
+            if first != k:
+                raise ValueError(f"--k values {first!r} and {k!r} share directory {name}")
+        for name, cell in cells.items():
+            out = args.out if len(cells) == 1 else os.path.join(args.out, name)
             _write_report(run[args.study](cell), out)
     elif zeros:
         report = simulation.zero_proportion_study(

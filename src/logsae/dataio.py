@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _arrays
 from .errors import NonPositiveValue, ParseError
-from .model import AreaObservation, _check_psd
+from .model import AreaObservation, Dataset, _check_psd
 
 __all__ = [
     "DatasetSchema",
@@ -197,7 +197,7 @@ def _logs(values: np.ndarray) -> np.ndarray:
 
 
 def load_arrays(path):
-    """Parse a dataset CSV into ``(ids, AreaArrays)``, in file order.
+    """Parse a dataset CSV into a `Dataset` ``(ids, arrays)``, in file order.
 
     ``ids`` is the list of area ids; the arrays hold ``z`` (m,), ``w``
     (m, p), ``psi`` (m,) and ``sigma`` (m, p, p) on the log scale, with
@@ -320,7 +320,7 @@ def load_arrays(path):
     w = np.empty((m, p))
     for j, values in enumerate(covariates):
         w[:, j] = _logs(values) if schema.raw_covariates else values
-    return ids, _arrays.build(z, w, psi, sigma)
+    return Dataset(ids, _arrays.build(z, w, psi, sigma))
 
 
 def load_dataset(path) -> list[AreaObservation]:

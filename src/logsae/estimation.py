@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .model import ModelParams, _area_named, _stacked
+from .model import ModelParams, _area_named, _dataset
 
 __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
 
@@ -69,7 +69,7 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
     The weights ``D_i`` are computed from ``params_current`` and must come
     out finite and positive; otherwise the system is reported singular.
     """
-    arr, ids = _stacked(areas)
+    ids, arr = _dataset(areas)
     with _area_named(ids):
         weights = _arrays.moment_weights(
             arr, params_current.beta, params_current.sigma2_nu
@@ -84,7 +84,7 @@ def estimate_sigma2(areas, beta) -> tuple[float, bool]:
     residual minus the mean sampling variance.  An exactly-zero moment is
     not flagged as truncated.
     """
-    arr = _arrays.stack(areas)
+    arr = _dataset(areas).arrays
     return _arrays.sigma2_moment(arr, np.asarray(beta, dtype=float))
 
 
@@ -98,12 +98,7 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
     SingularMomentMatrix
         If any weighted solve encounters a numerically singular system.
     """
-    return _fit_arrays(*_stacked(areas), config)
-
-
-def _fit_arrays(
-    arr: _arrays.AreaArrays, ids, config: FitConfig | None = None
-) -> ModelFit:
+    ids, arr = _dataset(areas)
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
         beta, sigma2, iterations, converged, truncated = _arrays.fit_core(

@@ -19,7 +19,7 @@ The best predictor of ``Y_i`` and the leading term of its prediction
 uncertainty are both log-normal moments of that conditional law; they are
 computed in log space so that extreme but representable values do not
 overflow intermediate steps.  The arithmetic lives in `_arrays`; the
-functions here evaluate it on one area or on a stacked list of areas.
+functions here evaluate it on one area or on a whole `Dataset`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import InsufficientAreas, NonPsdSigma, NumericalError
 
 __all__ = [
     "AreaObservation",
+    "Dataset",
     "ModelParams",
     "PosteriorMoments",
     "EbPrediction",
@@ -172,14 +174,23 @@ class PosteriorMoments:
     gamma: float
 
 
+class Dataset(NamedTuple):
+    """Area ids in order and their stacked `_arrays.AreaArrays`.  The public
+    API takes one, or a list of `AreaObservation` that it stacks once."""
+
+    ids: list
+    arrays: _arrays.AreaArrays
+
+
 @dataclass(frozen=True)
 class EbPrediction:
-    """Positive-scale prediction for one area plus its leading
-    uncertainty term (the conditional variance of ``exp(theta)``)."""
+    """Per-area (m,) arrays, in area order: the positive-scale prediction,
+    ``m1`` (the conditional variance of ``exp(theta)``) and ``gamma``."""
 
-    area_id: str
-    prediction: float
-    m1: float
+    area_ids: list
+    prediction: np.ndarray
+    m1: np.ndarray
+    gamma: np.ndarray
 
 
 def _moments(obs: AreaObservation, params: ModelParams):
@@ -190,10 +201,14 @@ def _moments(obs: AreaObservation, params: ModelParams):
     return _arrays.conditional_moments(arr, params.beta, params.sigma2_nu)
 
 
-def _stacked(areas):
-    # (AreaArrays, area ids) of a list of areas, for the array-level functions
-    areas = list(areas)
-    return _arrays.stack(areas), [a.area_id for a in areas]
+def _dataset(areas) -> Dataset:
+    # a Dataset as given, or a list of AreaObservation stacked once
+    if not isinstance(areas, Dataset):
+        areas = list(areas)
+        return Dataset([a.area_id for a in areas], _arrays.stack(areas))
+    if not areas.ids:  # as stack raises for an empty list
+        raise InsufficientAreas("no areas given")
+    return areas
 
 
 @contextmanager
@@ -281,15 +296,7 @@ def m1_term(obs: AreaObservation, params: ModelParams) -> float:
         return float(_arrays.m1_from_moments(mean, var)[0])
 
 
-def _predict_arrays(arr: _arrays.AreaArrays, ids, params: ModelParams):
-    # (predictions, m1, gamma) arrays from one kernel call over all areas
-    if not arr.m:
-        raise InsufficientAreas("no areas given")
-    with _area_named(ids):
-        return _arrays.predictions_and_m1(arr, params.beta, params.sigma2_nu)
-
-
-def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
+def predict_areas(areas, params: ModelParams) -> EbPrediction:
     """Positive-scale predictions plus their leading uncertainty terms.
 
     Raises
@@ -297,9 +304,7 @@ def predict_areas(areas, params: ModelParams) -> list[EbPrediction]:
     InsufficientAreas
         If ``areas`` is empty.
     """
-    arr, ids = _stacked(areas)
-    pred, m1, _ = _predict_arrays(arr, ids, params)
-    return [
-        EbPrediction(area_id=area_id, prediction=p, m1=v)
-        for area_id, p, v in zip(ids, pred.tolist(), m1.tolist())
-    ]
+    ids, arr = _dataset(areas)
+    with _area_named(ids):
+        columns = _arrays.predictions_and_m1(arr, params.beta, params.sigma2_nu)
+    return EbPrediction(ids, *columns)

@@ -30,7 +30,7 @@ import numpy as np
 from . import _arrays, rng
 from .errors import InsufficientAreas, SingularMomentMatrix
 from .estimation import FitConfig, ModelFit
-from .model import _area_named, _stacked
+from .model import _area_named, _dataset
 
 __all__ = ["JackknifeMspe", "BootstrapMspe", "jackknife_mspe", "bootstrap_mspe"]
 
@@ -39,33 +39,34 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class JackknifeMspe:
-    """Leave-one-out MSPE estimate for one area.
+    """Leave-one-out MSPE estimates of one dataset, in area order.
 
-    ``loo_nonconverged`` counts refits that hit the iteration cap; it is
-    shared by all areas of one call.
+    ``m1_j``, ``m2_j`` and ``total`` are (m,) arrays.  ``loo_nonconverged``
+    counts the refits of the call that hit the iteration cap.
     """
 
-    area_id: str
-    m1_j: float
-    m2_j: float
-    total: float
+    area_ids: list
+    m1_j: np.ndarray
+    m2_j: np.ndarray
+    total: np.ndarray
     loo_nonconverged: int
 
 
 @dataclass(frozen=True)
 class BootstrapMspe:
-    """Parametric-bootstrap MSPE estimate for one area.
+    """Parametric-bootstrap MSPE estimates of one dataset, in area order.
 
-    ``b_replicates`` is the number of replicates actually used (failed
-    refits are dropped).  ``negative`` flags a total below zero.
+    ``m1_bias_corrected``, ``m2_star``, ``total`` and ``negative`` (a
+    total below zero) are (m,) arrays.  ``b_replicates`` is the number of
+    replicates the call used (failed refits are dropped).
     """
 
-    area_id: str
-    m1_bias_corrected: float
-    m2_star: float
-    total: float
+    area_ids: list
+    m1_bias_corrected: np.ndarray
+    m2_star: np.ndarray
+    total: np.ndarray
+    negative: np.ndarray
     b_replicates: int
-    negative: bool
 
 
 def _leave_one_out(arr, dropped):
@@ -118,32 +119,24 @@ def jackknife_mspe(
     areas,
     full_fit: ModelFit,
     config: FitConfig | None = None,
-) -> list[JackknifeMspe]:
-    """Leave-one-out MSPE estimates, one per area, in input order.
+) -> JackknifeMspe:
+    """Leave-one-out MSPE estimates, in input order.
 
     Each refit is warm-started at the full-data parameters; all m refits
     run as one in-process batch.  A singular leave-one-out system is an
     error identifying the offending area.
     """
-    arr, ids = _stacked(areas)
-    m1_j, m2_j, nonconverged = _jackknife_arrays(arr, ids, full_fit, config)
-    return [
-        JackknifeMspe(area_id, m1, m2, m1 + m2, nonconverged)
-        for area_id, m1, m2 in zip(ids, m1_j.tolist(), m2_j.tolist())
-    ]
-
-
-def _jackknife_arrays(arr, ids, full_fit, config=None):
-    """Per-area m1_j and m2_j arrays and the non-converged refit count."""
+    ids, arr = _dataset(areas)
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
-        return jackknife_core(
+        m1_j, m2_j, nonconverged = jackknife_core(
             arr,
             full_fit.params.beta,
             full_fit.params.sigma2_nu,
             cfg.max_iterations,
             cfg.rel_tolerance,
         )
+    return JackknifeMspe(ids, m1_j, m2_j, m1_j + m2_j, nonconverged)
 
 
 def _psd_factors(sigma: np.ndarray) -> np.ndarray:
@@ -230,8 +223,8 @@ def bootstrap_mspe(
     b: int,
     seed: int,
     config: FitConfig | None = None,
-) -> list[BootstrapMspe]:
-    """Parametric-bootstrap MSPE estimates, one per area, in input order.
+) -> BootstrapMspe:
+    """Parametric-bootstrap MSPE estimates, in input order.
 
     Replicate draws are keyed by ``(seed, replicate)`` and the B refits
     run as one in-process batch, so output is bit-reproducible.
@@ -239,19 +232,7 @@ def bootstrap_mspe(
     rate is logged, and so is the number of refits used that stopped at
     the iteration cap.
     """
-    arr, ids = _stacked(areas)
-    m1_bc, m2_star, used = _bootstrap_arrays(arr, ids, full_fit, b, seed, config)
-    totals = m1_bc + m2_star
-    return [
-        BootstrapMspe(area_id, m1, m2, total, used, total < 0.0)
-        for area_id, m1, m2, total in zip(
-            ids, m1_bc.tolist(), m2_star.tolist(), totals.tolist()
-        )
-    ]
-
-
-def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None):
-    """Per-area bias-corrected m1 and m2* arrays and the replicates used."""
+    ids, arr = _dataset(areas)
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
         m1_bc, m2_star, used, capped = bootstrap_core(
@@ -265,4 +246,5 @@ def _bootstrap_arrays(arr, ids, full_fit, b, seed, config=None):
         )
     if capped:
         logger.warning("%d of %d bootstrap refits hit the iteration cap", capped, b)
-    return m1_bc, m2_star, used
+    totals = m1_bc + m2_star
+    return BootstrapMspe(ids, m1_bc, m2_star, totals, totals < 0.0, used)

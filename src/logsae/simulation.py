@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,12 @@ class SimulationConfig:
     psi_scale: float = 2.0
 
     def __post_init__(self):
+        if not all(isinstance(b, numbers.Real) for b in self.beta_true):
+            raise ValueError(f"beta_true must be real numbers, got {self.beta_true!r}")
+        try:
+            object.__setattr__(self, "beta_true", tuple(map(float, self.beta_true)))
+        except OverflowError:  # an int past the float range
+            raise ValueError("beta_true has an entry too large for a float") from None
         if self.m <= self.p:  # a fit needs more areas than coefficients
             raise ValueError(f"m must be > p = {self.p}, got {self.m}")
         if not 0.0 <= self.k_percent <= 100.0:

@@ -451,8 +451,12 @@ def test_k_values_with_emse_or_mspe_writes_one_directory_per_k(tmp_path):
     [
         (["--study", "mspe", "--k", "50", "50"], "k value 50 is repeated"),
         (["--study", "zeros", "--m", "8", "8"], "m value 8 is repeated"),
+        (
+            ["--study", "emse", "--k", "20", "20.000001"],
+            "--k values 20.0 and 20.000001 share directory k20",
+        ),
     ],
-    ids=["k", "m"],
+    ids=["k", "m", "k-directory"],
 )
 def test_simulate_repeated_grid_value_exits_two(tmp_path, capsys, grid, message):
     out = tmp_path / "rep"

@@ -1,0 +1,126 @@
+"""One data path: the public API gives the same bits whether it is handed
+a loaded `Dataset` or a list of areas, and the CLI writes exactly what the
+API returns."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from conftest import make_areas, random_dataset
+from logsae import (
+    InsufficientAreas,
+    bootstrap_mspe,
+    estimate_sigma2,
+    fit,
+    jackknife_mspe,
+    load_arrays,
+    load_dataset,
+    predict_areas,
+    save_dataset,
+    solve_beta,
+)
+from logsae.cli import main
+
+B, SEED = 8, 5
+
+
+@pytest.fixture
+def path(tmp_path, gen):
+    path = tmp_path / "areas.csv"
+    save_dataset(make_areas(*random_dataset(gen, m=12, p=2, with_sigma=True)), path)
+    return path
+
+
+def _results(data):
+    """Every public function's result on ``data``, as comparable values."""
+    full = fit(data)
+    pred = predict_areas(data, full.params)
+    jk = jackknife_mspe(data, full)
+    bt = bootstrap_mspe(data, full, b=B, seed=SEED)
+    beta = solve_beta(data, full.params)
+    sigma2, truncated = estimate_sigma2(data, beta)
+    arrays = [
+        full.params.beta, full.gammas, pred.prediction, pred.m1, pred.gamma,
+        jk.m1_j, jk.m2_j, jk.total, bt.m1_bias_corrected, bt.m2_star, bt.total,
+        bt.negative, beta,
+    ]
+    scalars = [
+        full.params.sigma2_nu, full.iterations_used, full.converged,
+        full.sigma2_truncated, jk.loo_nonconverged, bt.b_replicates, sigma2, truncated,
+    ]
+    ids = [pred.area_ids, jk.area_ids, bt.area_ids]
+    return [a.tobytes() for a in arrays], scalars, ids
+
+
+def test_a_dataset_and_a_list_of_areas_give_the_same_bits(path):
+    data = load_arrays(path)
+    results = _results(data)
+    assert results == _results(load_dataset(path))
+    assert results[2] == [data.ids] * 3
+
+
+def test_a_dataset_without_areas_is_rejected(path, tmp_path):
+    # as a list without areas is: no function sees an empty stack
+    empty = tmp_path / "empty.csv"
+    empty.write_text(path.read_text().splitlines()[0] + "\n")
+    full = fit(load_arrays(path))
+    for call in [
+        lambda data: fit(data),
+        lambda data: predict_areas(data, full.params),
+        lambda data: jackknife_mspe(data, full),
+        lambda data: bootstrap_mspe(data, full, b=B, seed=SEED),
+        lambda data: solve_beta(data, full.params),
+        lambda data: estimate_sigma2(data, full.params.beta),
+    ]:
+        for data in (load_arrays(empty), []):
+            with pytest.raises(InsufficientAreas, match="^no areas given$"):
+                call(data)
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def _floats(cells):
+    return np.array([float(c) for c in cells])
+
+
+def test_the_cli_writes_the_api_columns(path, tmp_path):
+    data = load_arrays(path)
+    full = fit(data)
+    argv = {
+        "predict": ["predict", str(path)],
+        "jackknife": ["mspe", str(path), "--method", "jackknife"],
+        "bootstrap": ["mspe", str(path), "--method", "bootstrap"],
+    }
+    argv["bootstrap"] += ["--b", str(B), "--seed", str(SEED)]
+    for name, args in argv.items():
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+
+    pred = predict_areas(data, full.params)
+    got = _read_csv(tmp_path / "predict" / "predictions.csv")
+    assert got["area_id"] == pred.area_ids
+    for column in ("prediction", "m1", "gamma"):
+        assert _floats(got[column]).tobytes() == getattr(pred, column).tobytes()
+
+    jk = jackknife_mspe(data, full)
+    got = _read_csv(tmp_path / "jackknife" / "mspe.csv")
+    assert got["area_id"] == jk.area_ids
+    for column, values in [("m1_j", jk.m1_j), ("m2_j", jk.m2_j), ("mspe", jk.total)]:
+        assert _floats(got[column]).tobytes() == values.tobytes()
+    assert got["loo_nonconverged"] == [str(jk.loo_nonconverged)] * len(data.ids)
+
+    bt = bootstrap_mspe(data, full, b=B, seed=SEED)
+    got = _read_csv(tmp_path / "bootstrap" / "mspe.csv")
+    assert got["area_id"] == bt.area_ids
+    for column, values in [
+        ("m1_bias_corrected", bt.m1_bias_corrected),
+        ("m2_star", bt.m2_star),
+        ("mspe", bt.total),
+    ]:
+        assert _floats(got[column]).tobytes() == values.tobytes()
+    assert got["negative"] == ["true" if n else "false" for n in bt.negative]
+    assert got["b_replicates"] == [str(bt.b_replicates)] * len(data.ids)

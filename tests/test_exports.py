@@ -1,5 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave an export behind."""
 
+import ast
 import importlib
 import pkgutil
 
@@ -27,3 +28,23 @@ def test_star_import_of_the_package():
     namespace = {}
     exec("from logsae import *", namespace)
     assert set(logsae.__all__) <= set(namespace)
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_the_cli_uses_only_public_names_of_the_package():
+    # the CLI goes through the same public API as any other caller
+    import logsae.cli
+
+    with open(logsae.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = []  # dotted names the CLI imports from the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or node.module.split(".")[0] == "logsae":
+                names += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "logsae"]
+    assert [n for n in names if any(map(_is_private, n.split(".")))] == []

@@ -192,8 +192,8 @@ class TestEbPredict:
         params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
         areas = [obs_1d(z=float(i), area_id=f"id{i}") for i in range(5)]
         out = predict_areas(areas, params)
-        assert [r.area_id for r in out] == [f"id{i}" for i in range(5)]
-        assert all(r.prediction > 0 and r.m1 >= 0 for r in out)
+        assert out.area_ids == [f"id{i}" for i in range(5)]
+        assert all(p > 0 and v >= 0 for p, v in zip(out.prediction, out.m1))
 
 
 class TestM1Term:

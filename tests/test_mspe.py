@@ -45,28 +45,26 @@ class TestJackknife:
             sigma=np.tile(np.array([[0.2]]), (5, 1, 1)),
         )
         full = fit(areas)
-        rows = jackknife_mspe(areas, full)
-        for row in rows:
-            assert row.m2_j == pytest.approx(0.0, abs=1e-18)
-            assert row.total == row.m1_j + row.m2_j
+        jk = jackknife_mspe(areas, full)
+        for m1_j, m2_j, total in zip(jk.m1_j, jk.m2_j, jk.total):
+            assert m2_j == pytest.approx(0.0, abs=1e-18)
+            assert total == m1_j + m2_j
 
     def test_matches_bruteforce_on_small_data(self):
         z, w, psi, sigma = small_dataset()
         areas = make_areas(z, w, psi, sigma)
-        rows = jackknife_mspe(areas, fit(areas))
+        jk = jackknife_mspe(areas, fit(areas))
         m1_o, m2_o = oracles.oracle_jackknife(z, w, psi, sigma)
-        got_m1 = np.array([r.m1_j for r in rows])
-        got_m2 = np.array([r.m2_j for r in rows])
-        np.testing.assert_allclose(got_m1, m1_o, rtol=1e-8)
-        np.testing.assert_allclose(got_m2, m2_o, rtol=1e-8, atol=1e-15)
+        np.testing.assert_allclose(jk.m1_j, m1_o, rtol=1e-8)
+        np.testing.assert_allclose(jk.m2_j, m2_o, rtol=1e-8, atol=1e-15)
 
     def test_m2_nonnegative_and_total_additive(self, gen):
         z, w, psi, sigma = random_dataset(gen, m=12, p=2, with_sigma=True)
         areas = make_areas(z, w, psi, sigma)
-        rows = jackknife_mspe(areas, fit(areas))
-        for row in rows:
-            assert row.m2_j >= 0.0
-            assert row.total == row.m1_j + row.m2_j
+        jk = jackknife_mspe(areas, fit(areas))
+        for m1_j, m2_j, total in zip(jk.m1_j, jk.m2_j, jk.total):
+            assert m2_j >= 0.0
+            assert total == m1_j + m2_j
 
     def test_relabeling_invariance(self, gen):
         z, w, psi, sigma = random_dataset(gen, m=10, p=1, with_sigma=True)
@@ -76,9 +74,9 @@ class TestJackknife:
         shuffled_areas = [areas[i] for i in order]
         shuffled = jackknife_mspe(shuffled_areas, fit(shuffled_areas))
         for pos, i in enumerate(order):
-            assert shuffled[pos].m1_j == pytest.approx(base[i].m1_j, rel=1e-7)
-            assert shuffled[pos].m2_j == pytest.approx(
-                base[i].m2_j, rel=1e-7, abs=1e-12
+            assert shuffled.m1_j[pos] == pytest.approx(base.m1_j[i], rel=1e-7)
+            assert shuffled.m2_j[pos] == pytest.approx(
+                base.m2_j[i], rel=1e-7, abs=1e-12
             )
 
     def test_requires_enough_areas_for_loo_refits(self):
@@ -117,30 +115,28 @@ class TestBootstrap:
             return frozen_batch(len(arr.z), full.params.beta, full.params.sigma2_nu)
 
         monkeypatch.setattr(_arrays, "fit_batch", frozen)
-        rows = bootstrap_mspe(areas, full, b=16, seed=3)
+        bt = bootstrap_mspe(areas, full, b=16, seed=3)
         _, m1_oracle = oracles.oracle_predict(
             z, w, psi, sigma, full.params.beta, full.params.sigma2_nu
         )
 
-        for row, expect in zip(rows, m1_oracle):
-            assert row.m1_bias_corrected == pytest.approx(expect, rel=1e-12)
-            assert row.m2_star == pytest.approx(0.0, abs=1e-18)
-            assert row.total == pytest.approx(expect, rel=1e-12)
-            assert row.negative is (row.total < 0)
-            assert row.b_replicates == 16
+        assert bt.b_replicates == 16
+        for i, expect in enumerate(m1_oracle):
+            assert bt.m1_bias_corrected[i] == pytest.approx(expect, rel=1e-12)
+            assert bt.m2_star[i] == pytest.approx(0.0, abs=1e-18)
+            assert bt.total[i] == pytest.approx(expect, rel=1e-12)
+            assert bt.negative[i] == (bt.total[i] < 0)
 
     def test_matches_bruteforce_with_shared_streams(self):
         z, w, psi, sigma = small_dataset(seed=11)
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
-        rows = bootstrap_mspe(areas, full, b=3, seed=21)
+        bt = bootstrap_mspe(areas, full, b=3, seed=21)
         m1_o, m2_o = oracles.oracle_bootstrap(
             z, w, psi, sigma, full.params.beta, full.params.sigma2_nu, b=3, seed=21
         )
-        got_m1 = np.array([r.m1_bias_corrected for r in rows])
-        got_m2 = np.array([r.m2_star for r in rows])
-        np.testing.assert_allclose(got_m1, m1_o, rtol=1e-8)
-        np.testing.assert_allclose(got_m2, m2_o, rtol=1e-8, atol=1e-15)
+        np.testing.assert_allclose(bt.m1_bias_corrected, m1_o, rtol=1e-8)
+        np.testing.assert_allclose(bt.m2_star, m2_o, rtol=1e-8, atol=1e-15)
 
     def test_deterministic_in_seed(self):
         z, w, psi, sigma = small_dataset(seed=5, m=6)
@@ -148,13 +144,10 @@ class TestBootstrap:
         full = fit(areas)
         a = bootstrap_mspe(areas, full, b=12, seed=9)
         b = bootstrap_mspe(areas, full, b=12, seed=9)
-        assert [(r.m1_bias_corrected, r.m2_star) for r in a] == [
-            (r.m1_bias_corrected, r.m2_star) for r in b
-        ]
+        assert (a.m1_bias_corrected == b.m1_bias_corrected).all()
+        assert (a.m2_star == b.m2_star).all()
         c = bootstrap_mspe(areas, full, b=12, seed=10)
-        assert any(
-            x.m1_bias_corrected != y.m1_bias_corrected for x, y in zip(a, c)
-        )
+        assert (a.m1_bias_corrected != c.m1_bias_corrected).any()
 
     def test_negative_totals_flagged_not_clamped(self, monkeypatch):
         z, w, psi, sigma = small_dataset()
@@ -168,11 +161,11 @@ class TestBootstrap:
             return frozen_batch(len(arr.z), full.params.beta, sigma2)
 
         monkeypatch.setattr(_arrays, "fit_batch", inflated)
-        rows = bootstrap_mspe(areas, full, b=8, seed=2)
-        assert any(row.total < 0.0 for row in rows)
-        for row in rows:
-            assert row.negative is (row.total < 0.0)
-            assert row.total == row.m1_bias_corrected + row.m2_star
+        bt = bootstrap_mspe(areas, full, b=8, seed=2)
+        assert (bt.total < 0.0).any()
+        for i, total in enumerate(bt.total):
+            assert bt.negative[i] == (total < 0.0)
+            assert total == bt.m1_bias_corrected[i] + bt.m2_star[i]
 
     def test_failed_replicates_dropped_and_counted(self, monkeypatch, caplog):
         z, w, psi, sigma = small_dataset(seed=13, m=5)
@@ -191,8 +184,8 @@ class TestBootstrap:
 
         monkeypatch.setattr(_arrays, "fit_batch", flaky)
         with caplog.at_level(logging.WARNING, logger="logsae.mspe"):
-            rows = bootstrap_mspe(areas, full, b=9, seed=1)
-        assert all(row.b_replicates == 6 for row in rows)
+            bt = bootstrap_mspe(areas, full, b=9, seed=1)
+        assert bt.b_replicates == 6
         assert any("dropped 3 of 9" in rec.message for rec in caplog.records)
 
     def test_all_failed_raises(self, monkeypatch):
@@ -238,8 +231,8 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
         b = 80
-        rows_b = bootstrap_mspe(areas, full, b=b, seed=17)
-        rows_2b = bootstrap_mspe(areas, full, b=2 * b, seed=17)
+        bt_b = bootstrap_mspe(areas, full, b=b, seed=17)
+        bt_2b = bootstrap_mspe(areas, full, b=2 * b, seed=17)
 
         # regenerate the per-replicate squared deviations independently
         beta, sigma2 = full.params.beta, full.params.sigma2_nu
@@ -260,9 +253,9 @@ class TestBootstrap:
             beta_r, sigma2_r = oracles.oracle_fit(z_star, w_star, psi, sigma)
             pred_r, _ = oracles.oracle_predict(z, w, psi, sigma, beta_r, sigma2_r)
             per_rep[r] = (pred_r - pred_full) ** 2
-        for i, (rb, r2b) in enumerate(zip(rows_b, rows_2b)):
+        for i, (rb, r2b) in enumerate(zip(bt_b.m2_star, bt_2b.m2_star)):
             se = per_rep[:, i].std(ddof=1) / math.sqrt(b)
-            assert abs(r2b.m2_star - rb.m2_star) < 3.0 * se
+            assert abs(r2b - rb) < 3.0 * se
 
 
 class TestBootstrapReduction:

@@ -118,6 +118,25 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "beta_true, message",
+        [
+            (("3",), "must be real numbers"),
+            ((1j,), "must be real numbers"),
+            ((2**1024,), "has an entry too large for a float"),
+        ],
+        ids=["str", "complex", "overflow"],
+    )
+    def test_beta_true_entries_rejected(self, beta_true, message):
+        with pytest.raises(ValueError, match=f"^beta_true {message}"):
+            cfg(beta_true=beta_true)
+
+    def test_beta_true_held_as_floats(self):
+        # an int of 2**64 or more is a real number that a float holds
+        c = cfg(beta_true=(2**64, 3))
+        assert c.beta_true == (2.0**64, 3.0)
+        assert all(type(b) is float for b in c.beta_true)
+
     # the variance the data are drawn with is config.d, checked above
     @pytest.mark.parametrize("field", ["d_mis"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
