@@ -21,17 +21,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import json
+import itertools
 import math
-import os
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import _arrays
 from .errors import NonPositiveValue, ParseError
-from .model import AreaObservation, Dataset, _check_psd
+from .model import AreaObservation, Dataset, _check_psd, _dataset
 
 __all__ = [
     "DatasetSchema",
@@ -340,7 +340,7 @@ def load_dataset(path) -> list[AreaObservation]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -350,12 +350,13 @@ def _fmt(value) -> str:
 
 
 def save_dataset(areas, path) -> None:
-    """Write areas in the canonical form: z, w_j, psi, full sme triangle."""
-    if not areas:
+    """Write areas, a `Dataset` or a list of `AreaObservation`, in the
+    canonical form: z, w_j, psi, full sme triangle."""
+    if not (areas.ids if isinstance(areas, Dataset) else areas):
         raise ValueError("no areas to save")
-    arr = _arrays.stack(areas)
+    ids, arr = _dataset(areas)
     schema = DatasetSchema(p=arr.p, response_column="z", covariate_prefix="w", sme_form="full")
-    columns = {"area_id": [a.area_id for a in areas], "z": arr.z}
+    columns = {"area_id": ids, "z": arr.z}
     columns.update(zip(schema.covariate_columns, arr.w.T))
     columns["psi"] = arr.psi
     j, k = np.tril_indices(arr.p)  # row-major, the order of sme_columns
@@ -363,37 +364,144 @@ def save_dataset(areas, path) -> None:
     write_csv(path, columns)
 
 
-def _fmt_column(values) -> list[str]:
+_CSV_BLOCK_ROWS = 4096  # rows rendered by one %-format call
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_text(cells: list, lone: bool) -> list[str]:
+    """Text cells with the csv module's minimal quoting; in a table of
+    one column an empty cell is quoted too, so that its row is not blank."""
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = [
+            '"' + c.replace('"', '""') + '"' if _CSV_SPECIAL.search(c) else c
+            for c in cells
+        ]
+    return [c or '""' for c in cells] if lone else cells
+
+
+def _csv_column(values, lone: bool) -> tuple[list, str]:
+    """A column's cells and their conversion in the row template: a float64
+    array as Python floats under %.17g (the bytes of `_fmt`), anything
+    else as quoted `_fmt` text."""
     if isinstance(values, np.ndarray):
         if values.dtype == float:
-            return [format(v, ".17g") for v in values.tolist()]  # as _fmt, in one pass
+            return values.tolist(), "%.17g"
         values = values.tolist()  # numpy bools and ints as Python ones
-    return [_fmt(v) for v in values]
+    cells = list(values)
+    if set(map(type, cells)) != {str}:  # a str is its own `_fmt` text
+        cells = list(map(_fmt, cells))
+    return _csv_text(cells, lone), "%s"
 
 
 def write_csv(path, columns) -> None:
     """Write a table with deterministic 17-significant-digit floats.
 
     ``columns`` maps each column name, in header order, to its sequence
-    of values; a float array column is formatted in one pass.
+    of values; all columns must have the same length.  The bytes are
+    those of the csv module's default writer given each cell's `_fmt`
+    text; rows are rendered a block at a time by one %-format call.
     """
-    lines = zip(*(_fmt_column(values) for values in columns.values()))
+    lone = len(columns) == 1
+    names = _csv_text(list(map(_fmt, columns)), lone)
+    cells, specs = [], []
+    for values in columns.values():
+        column, spec = _csv_column(values, lone)
+        cells.append(column)
+        specs.append(spec)
+    lengths = dict(zip(columns, map(len, cells)))
+    if len(set(lengths.values())) > 1:
+        short, long = min(lengths, key=lengths.get), max(lengths, key=lengths.get)
+        raise ValueError(
+            f"column {short!r} has {lengths[short]} values, but column "
+            f"{long!r} has {lengths[long]}"
+        )
+    row = ",".join(specs) + "\r\n"
+    m = len(cells[0]) if cells else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(lines)
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, m, _CSV_BLOCK_ROWS):
+            block = [column[start : start + _CSV_BLOCK_ROWS] for column in cells]
+            flat = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write((row * len(block[0])) % flat)
+
+
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bools are ints
+        return encode_basestring_ascii(_json(key, "", set()))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _json_items(values, indent: str, open_ids: set):
+    # a list of finite floats or of strs is rendered in one pass
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return [_json(v, indent, open_ids) for v in values]
+
+
+def _json(obj, indent: str, open_ids: set) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` renders it, nested at the line prefix ``indent``,
+    with its errors; ``open_ids`` holds the ids of the containers being
+    rendered, to refuse a circular reference."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        raise TypeError(
+            f"Object of type {obj.__class__.__name__} is not JSON serializable"
+        )
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    if id(obj) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(obj))
+    inner = indent + "  "
+    if is_dict:
+        items = [
+            f"{_json_key(k)}: {_json(v, inner, open_ids)}" for k, v in sorted(obj.items())
+        ]
+    else:
+        items = _json_items(obj, inner, open_ids)
+    text = f",\n{inner}".join(items)
+    open_ids.remove(id(obj))
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{text}\n{indent}{closing}"
 
 
 def write_json(obj, path) -> None:
     """Serialize with sorted keys; floats keep full round-trip precision.
-    A value that cannot be serialized leaves no file behind."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-    except (TypeError, ValueError):
-        os.remove(path)  # json.dump streams: drop the part it wrote
-        raise
+
+    The bytes are those of ``json.dump(obj, fh, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline.  The text is rendered before the
+    file is opened, so a value that cannot be serialized raises json's
+    error and leaves the file as it was.
+    """
+    text = _json(obj, "", set()) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def sha256_file(path) -> str:

@@ -1,6 +1,7 @@
 """Dataset parsing, canonical serialization, and the exact round trip."""
 
 import csv
+import dataclasses
 import math
 import os
 import tempfile
@@ -225,6 +226,23 @@ class TestRoundTrip:
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert sha256_file(p1) == sha256_file(p2)
+
+    def test_dataset_saves_as_its_areas(self, tmp_path, gen):
+        z, w, psi, sigma = random_dataset(gen, m=40, p=2, with_sigma=True)
+        areas = make_areas(z, w, psi, sigma)
+        areas[3] = dataclasses.replace(areas[3], area_id='north, "upper"')
+        path = tmp_path / "areas.csv"
+        save_dataset(areas, path)
+        save_dataset(load_arrays(path), tmp_path / "from_arrays.csv")
+        save_dataset(load_dataset(path), tmp_path / "from_areas.csv")
+        assert (tmp_path / "from_arrays.csv").read_bytes() == path.read_bytes()
+        assert (tmp_path / "from_areas.csv").read_bytes() == path.read_bytes()
+
+    def test_empty_dataset_writes_nothing(self, tmp_path):
+        empty = load_arrays(write(tmp_path, "area_id,z,w_1,psi,sme_diag_1\n"))
+        with pytest.raises(ValueError, match="no areas to save"):
+            save_dataset(empty, tmp_path / "areas.csv")
+        assert not (tmp_path / "areas.csv").exists()
 
 
 @settings(max_examples=60, deadline=None)
