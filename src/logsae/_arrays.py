@@ -123,7 +123,7 @@ def _matvec(w: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.matmul(w, beta[:, :, None])[:, :, 0]
 
 
-def _rows(batch: AreaArrays, sel) -> AreaArrays:
+def select_rows(batch: AreaArrays, sel) -> AreaArrays:
     """The replicates ``sel`` of a batch whose z and w are batched."""
 
     def take(x, ndim):
@@ -150,6 +150,16 @@ def _solve(batch: AreaArrays, weights: np.ndarray):
         a[~finite], rhs[~finite] = np.eye(batch.p), 0.0
         for b in np.flatnonzero(~finite).tolist():
             errors[b] = SingularMomentMatrix("moment system has non-finite entries")
+    if batch.p == 1:
+        # a nonzero 1x1 system has condition number 1; dividing gives
+        # np.linalg.solve's bits without a LAPACK call per matrix
+        singular = a[:, 0, 0] == 0.0
+        if singular.any():
+            a[singular] = 1.0
+            for b in np.flatnonzero(singular).tolist():
+                errors[b] = SingularMomentMatrix(_singular_message(0.0))
+        with np.errstate(over="ignore"):  # as np.linalg.solve, which never warns
+            return rhs / a[:, 0], errors
     s = np.linalg.svd(a, compute_uv=False)
     smallest = s[:, -1]
     if smallest.all():
@@ -160,11 +170,15 @@ def _solve(batch: AreaArrays, weights: np.ndarray):
     if singular.any():
         a[singular] = np.eye(batch.p)
         for b in np.flatnonzero(singular).tolist():
-            errors[b] = SingularMomentMatrix(
-                f"weighted moment matrix is numerically singular "
-                f"(smallest singular value {s[b, -1]:.3e})"
-            )
+            errors[b] = SingularMomentMatrix(_singular_message(s[b, -1]))
     return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], errors
+
+
+def _singular_message(smallest) -> str:
+    return (
+        f"weighted moment matrix is numerically singular "
+        f"(smallest singular value {smallest:.3e})"
+    )
 
 
 def _weights(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
@@ -249,9 +263,11 @@ def fit_batch(
 
     ``arr`` holds the B datasets: ``z`` (B, m) and ``w`` (B, m, p), and
     ``psi``, ``sigma`` and ``moment`` either per replicate or shared.
-    Each replicate takes the steps that `fit_core` takes on it alone and
-    stops at its own convergence or at ``max_iterations``; one that fails
-    a check stops with that error in ``errors`` and the rest go on.
+    ``beta_init``, if given, is one start (p,) for every replicate or one
+    per replicate (B, p).  Each replicate takes the steps that `fit_core`
+    takes on it alone and stops at its own convergence or at
+    ``max_iterations``; one that fails a check stops with that error in
+    ``errors`` and the rest go on.
     """
     m, p = arr.m, arr.p
     if m <= p:
@@ -262,9 +278,11 @@ def fit_batch(
         beta, errors = _solve(batch, np.ones((n, m)))
     else:
         beta = np.asarray(beta_init, dtype=float)
-        if beta.shape != (p,):
-            raise ValueError(f"beta_init must have shape ({p},)")
-        beta, errors = beta[None].repeat(n, axis=0), {}
+        if beta.shape == (p,):
+            beta = beta[None].repeat(n, axis=0)
+        elif beta.shape != (n, p):
+            raise ValueError(f"beta_init must have shape ({p},) or ({n}, {p})")
+        errors = {}
     sigma2, truncated = _sigma2(batch, beta)
 
     out_beta, out_sigma2 = np.empty((n, p)), np.empty(n)
@@ -280,7 +298,7 @@ def fit_batch(
             out_beta[done], out_sigma2[done] = beta[leaving], sigma2[leaving]
             out_truncated[done], iterations[done] = truncated[leaving], iteration
             stay = ~leaving
-            rows, batch = rows[stay], _rows(batch, stay)
+            rows, batch = rows[stay], select_rows(batch, stay)
             beta, sigma2, truncated = beta[stay], sigma2[stay], truncated[stay]
         if not rows.size or iteration == max_iterations:
             break
@@ -363,7 +381,7 @@ def _degenerate_errors(degenerate) -> dict:
     }
 
 
-def _exp(x: np.ndarray):
+def exp_batch(x: np.ndarray):
     """exp(x) for (B, m) exponents and {row: error} for the rows with an
     exponent outside the double range."""
     bad = (x > _EXP_MAX) | (x < _EXP_MIN)
@@ -380,7 +398,7 @@ def _exp(x: np.ndarray):
 
 def exp_checked(x: np.ndarray) -> np.ndarray:
     """exp(x), or PredictionOverflow carrying the first offending index."""
-    out, errors = _exp(x[None])
+    out, errors = exp_batch(x[None])
     raise_first(errors)
     return out[0]
 
@@ -400,7 +418,7 @@ def _m1(mean: np.ndarray, var: np.ndarray):
     pos = var > 0.0
     exponent = np.zeros(var.shape)  # placeholder where var == 0
     exponent[pos] = var[pos] + log_expm1(var[pos]) + 2.0 * mean[pos]
-    m1, errors = _exp(exponent)
+    m1, errors = exp_batch(exponent)
     m1[~pos] = 0.0
     return m1, errors
 
@@ -439,7 +457,7 @@ def predict_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
     `predictions_and_m1` raises for that set alone.
     """
     mean, var, g, errors = _conditional(arr, beta, sigma2)
-    pred, pred_errors = _exp(mean + 0.5 * var)
+    pred, pred_errors = exp_batch(mean + 0.5 * var)
     m1, m1_errors = _m1(mean, var)
     return pred, m1, g, m1_errors | pred_errors | errors
 

@@ -21,7 +21,7 @@ from . import __version__, dataio, parallel, simulation
 from .errors import DataError, NumericalError, ParseError
 from .estimation import ModelFit, fit
 from .model import ModelParams, predict_areas
-from .mspe import bootstrap_mspe, jackknife_mspe
+from .mspe import bootstrap_mspe, check_bootstrap_args, jackknife_mspe
 
 
 def _utc_now() -> str:
@@ -135,6 +135,8 @@ def cmd_predict(args) -> int:
 
 def cmd_mspe(args) -> int:
     started = _utc_now()
+    if args.method == "bootstrap":  # a usage error, before the dataset is read
+        check_bootstrap_args(args.b, args.seed)
     data = dataio.load_arrays(args.dataset)
     workers = parallel.resolve_workers(args.workers)
     model_fit = fit(data)

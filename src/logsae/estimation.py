@@ -44,6 +44,9 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.rel_tolerance > 0.0:
             raise ValueError("rel_tolerance must be > 0")
+        # one start for every fit; the fit checks its length against p
+        if self.beta_init is not None and np.ndim(self.beta_init) != 1:
+            raise ValueError("beta_init must be one-dimensional")
 
 
 @dataclass(frozen=True)

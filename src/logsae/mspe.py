@@ -69,10 +69,13 @@ class BootstrapMspe:
     b_replicates: int
 
 
-def _leave_one_out(arr, dropped):
-    """A batch of datasets: row r holds every area but area dropped[r]."""
+def _leave_one_out(arr, dropped, owners=None):
+    """A batch of datasets: row r holds every area but area dropped[r] of
+    ``arr``, or, for a batch ``arr``, of its dataset owners[r]."""
     kept = np.arange(arr.m - 1)
     idx = kept + (kept >= np.asarray(dropped)[:, None])
+    if owners is not None:
+        idx = (np.asarray(owners)[:, None], idx)
     return _arrays.AreaArrays(
         z=arr.z[idx],
         w=arr.w[idx],
@@ -109,10 +112,20 @@ def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
         m1_loo[:, rows.start : rows.stop] = m1_j.T
         pred_loo[:, rows.start : rows.stop] = pred_j.T
         nonconverged += int(np.count_nonzero(~fit.converged))
+    m1_corrected, m2 = jackknife_terms(pred_full, m1_full, pred_loo, m1_loo)
+    return m1_corrected, m2, nonconverged
+
+
+def jackknife_terms(pred_full, m1_full, pred_loo, m1_loo):
+    """Bias-corrected m1 and m2 of one dataset from its predictions and m1
+    terms, (m,), and their leave-one-out values, (m, m): area i's value
+    refit without area j at [i, j].  The (m, m) arrays are C-contiguous,
+    so that each area's sum runs in one fixed order."""
+    m = len(pred_full)
     factor = (m - 1.0) / m
     m1_corrected = m1_full - factor * np.sum(m1_full[:, None] - m1_loo, axis=1)
     m2 = factor * np.sum((pred_full[:, None] - pred_loo) ** 2, axis=1)
-    return m1_corrected, m2, nonconverged
+    return m1_corrected, m2
 
 
 def jackknife_mspe(
@@ -171,15 +184,20 @@ def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
     return _arrays.build(z_star, w_star, arr.psi, arr.sigma)
 
 
+def check_bootstrap_args(b, seed) -> None:
+    """Raise ValueError for fewer than 2 replicates or a bad seed."""
+    if b < 2:
+        raise ValueError(f"b must be >= 2, got {b}")
+    rng.check_seed(seed)
+
+
 def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
     """Bias-corrected m1, m2* and the number of replicates used and, of
     those, refits that stopped at the iteration cap."""
     m, p = arr.m, arr.p
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to refit, got {m}")
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    rng.check_seed(seed)
+    check_bootstrap_args(b, seed)
     pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     factors = _psd_factors(arr.sigma)
     sum_m1 = np.zeros(m)

@@ -14,8 +14,11 @@ Four studies share one synthetic-population generator:
 
 Replicate r of a study is a pure function of (config, r): all draws come
 from streams keyed by (seed, purpose, r), so every study is
-bit-reproducible.  The replicates run in turn in the calling process; the
-fit variants of one replicate run as one `_arrays.fit_batch` call.
+bit-reproducible.  The replicates run in the calling process, a chunk at a
+time: one `_arrays.fit_batch` call fits every fit variant of every
+replicate of a chunk, and the MSPE study makes one more for all their
+leave-one-out refits.  Each replicate's results are those it gets on its
+own, bit for bit, and a replicate that fails a check fails alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import _arrays, rng
 from .errors import NumericalError
 from .estimation import FitConfig
-from .mspe import bootstrap_core, jackknife_core
+from .mspe import _leave_one_out, bootstrap_core, jackknife_terms
 
 __all__ = [
     "SimulationConfig",
@@ -72,6 +75,11 @@ class SimulationConfig:
     psi_scale: float = 2.0
 
     def __post_init__(self):
+        for name in ("m", "r_replications", "b_bootstrap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not all(isinstance(b, numbers.Real) for b in self.beta_true):
             raise ValueError(f"beta_true must be real numbers, got {self.beta_true!r}")
         try:
@@ -183,34 +191,99 @@ def _replicate_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=0)[-1]
 
 
-def _run_cell(fn, cell: SimulationConfig, fit_config, **kwargs):
-    """Run ``fn`` on every replicate of one (m, k) cell, in turn.
+def _run_cell(fn, cell: SimulationConfig, fit_config, width: int, **kwargs):
+    """Run ``fn`` on every replicate of one (m, k) cell, a chunk at a time.
 
-    Returns the replicates that succeeded, in order, each of ``fn``'s
-    outputs stacked along a leading replicate axis, and the number that
-    failed; raises `NumericalError` naming the cell when every replicate
-    failed.
+    Each chunk goes through `_run_chunk`, and holds at most
+    ``_arrays._BATCH_CELLS`` cells of the ``width`` fit rows of m areas
+    that each replicate needs.  Returns the replicates that succeeded, in
+    order, each of ``fn``'s outputs stacked over them, and the number
+    that failed; raises `NumericalError` naming the cell when every
+    replicate failed.
     """
     cfg = fit_config if fit_config is not None else FitConfig()
     kwargs |= dict(
-        config=cell, max_iterations=cfg.max_iterations, rel_tolerance=cfg.rel_tolerance
+        config=cell,
+        max_iterations=cfg.max_iterations,
+        rel_tolerance=cfg.rel_tolerance,
+        beta_init=cfg.beta_init,
     )
     done, results = [], []
-    for replicate in range(cell.r_replications):
-        try:
-            results.append(fn(replicate, **kwargs))
-        except NumericalError:  # the replicate counts as failed
-            continue
-        done.append(replicate)
+    for replicates in _arrays.batches(cell.r_replications, width * cell.m):
+        outputs, errors = _run_chunk(fn, replicates, **kwargs)
+        succeeded = [r for k, r in enumerate(replicates) if k not in errors]
+        if succeeded:
+            done += succeeded
+            results.append(outputs)
     if not done:
         raise NumericalError(
             f"every replicate failed at m={cell.m}, k={cell.k_percent:g}"
         )
-    outputs = [np.stack(output) for output in zip(*results)]
+    outputs = [np.concatenate(output) for output in zip(*results)]
     return np.array(done), outputs, cell.r_replications - len(done)
 
 
-def _run_grid(fn, cells, fit_config, reduce, **kwargs):
+class _Chunk:
+    """The replicates of one chunk that are still running, in order, and
+    {position in the chunk: error} for those that failed."""
+
+    def __init__(self, replicates: range):
+        self.replicates = replicates
+        self.alive = np.arange(len(replicates))
+        self.errors = {}
+
+    def drop(self, errors: dict) -> np.ndarray:
+        """Fail the live replicates ``errors`` names, by position among the
+        live ones; return the mask of those that go on."""
+        keep = np.ones(len(self.alive), dtype=bool)
+        for k, exc in errors.items():
+            self.errors[int(self.alive[k])] = exc
+            keep[k] = False
+        self.alive = self.alive[keep]
+        return keep
+
+
+def _run_chunk(fn, replicates: range, config: SimulationConfig, **kwargs):
+    """Draw the replicates' populations and run ``fn(chunk, population,
+    ...)`` on those drawn, each population array stacked on a leading axis.
+
+    ``fn`` fails replicates through ``chunk.drop`` and returns the outputs
+    of the rest, each stacked along a leading axis in replicate order.
+    Returns those outputs and {position in ``replicates``: error}.
+    """
+    chunk, populations, errors = _Chunk(replicates), [], {}
+    for k, replicate in enumerate(replicates):
+        try:
+            populations.append(_draw_population(config, replicate))
+        except NumericalError as exc:
+            errors[k] = exc
+    chunk.drop(errors)
+    if not populations:
+        return (), chunk.errors
+    population = [np.stack(x) for x in zip(*populations)]
+    return fn(chunk, population, config=config, **kwargs), chunk.errors
+
+
+def _one(fn, replicate, **kwargs):
+    """Replicate ``replicate`` alone through `_run_chunk`: its outputs, or
+    its error raised."""
+    outputs, errors = _run_chunk(
+        fn, range(replicate, replicate + 1), beta_init=None, **kwargs
+    )
+    _arrays.raise_first(errors)
+    return tuple(output[0] for output in outputs)
+
+
+def _by_replicate(errors: dict, width: int) -> dict:
+    """{replicate: error of its lowest failed row} for a batch of ``width``
+    rows per replicate."""
+    first = {}
+    for row in sorted(errors):
+        first.setdefault(row // width, errors[row])
+    return first
+
+
+def _run_grid(fn, cells, fit_config, width, reduce, **kwargs):
     """Run ``fn`` on every cell and reduce each cell's outputs to one row.
 
     Returns the rows as columns, one per value ``reduce(*outputs)``
@@ -218,7 +291,9 @@ def _run_grid(fn, cells, fit_config, reduce, **kwargs):
     """
     rows, completed, failed = [], [], []
     for cell in cells:
-        replicates, outputs, n_failed = _run_cell(fn, cell, fit_config, **kwargs)
+        replicates, outputs, n_failed = _run_cell(
+            fn, cell, fit_config, width, **kwargs
+        )
         rows.append(reduce(*outputs))
         completed.append(len(replicates))
         failed.append(n_failed)
@@ -238,32 +313,59 @@ def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig
     ]
 
 
-def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance):
-    """Fit one population's variants, each with its own covariates and
-    error covariances, as one batch; raise the lowest failing variant's error."""
-    arr = _arrays.build(np.stack([z] * len(ws)), np.stack(ws), psi, np.stack(sigmas))
-    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance)
-    _arrays.raise_first(fit.errors)
-    return arr, fit
+def _fit_variants(
+    chunk, z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init
+):
+    """Fit the live replicates' variants, each with its own covariates and
+    error covariances, as one batch of rows replicate-major; fail each
+    replicate with a failing variant, with the lowest one's error.
+
+    Returns the batch, its fit and the mask of the replicates that go on.
+    """
+    width = len(ws)
+
+    def rows(variants):  # (n, m, ...) per variant -> (n * width, m, ...)
+        return np.stack(variants, axis=1).reshape(-1, *variants[0].shape[1:])
+
+    z, psi = np.repeat(z, width, axis=0), np.repeat(psi, width, axis=0)
+    arr = _arrays.build(z, rows(ws), psi, rows(sigmas))
+    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
+    return arr, fit, chunk.drop(_by_replicate(fit.errors, width))
 
 
 # ---------------------------------------------------------------- accuracy
 
 
-def _emse_replicate(replicate, config, max_iterations, rel_tolerance):
-    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-    Y = _arrays.exp_checked(theta)
-    direct = _arrays.exp_checked(z)
+def _emse_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+    W, theta, z, w, psi, sigma, _ = population
+    Y, y_errors = _arrays.exp_batch(theta)
+    direct, direct_errors = _arrays.exp_batch(z)
+    keep = chunk.drop(direct_errors | y_errors)  # Y's error first
+    W, Y, direct, z, w, psi, sigma = (
+        x[keep] for x in (W, Y, direct, z, w, psi, sigma)
+    )
     zero_sigma = np.zeros_like(sigma)
     # the EB variants in EMSE_ESTIMATORS order: true covariate, Sigma
     # ignored, full
-    arr, fit = _fit_variants(
-        z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma), max_iterations, rel_tolerance
+    arr, fit, keep = _fit_variants(
+        chunk, z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma),
+        max_iterations, rel_tolerance, beta_init,
     )
-    pred, _, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
-    _arrays.raise_first(errors)
-    pred_matrix = np.vstack([direct, pred])
-    return (pred_matrix - Y) ** 2, pred_matrix
+    rows = np.repeat(keep, 3)
+    pred, _, _, errors = _arrays.predict_batch(
+        _arrays.select_rows(arr, rows), fit.beta[rows], fit.sigma2[rows]
+    )
+    final = chunk.drop(_by_replicate(errors, 3))
+    pred = pred.reshape(len(final), 3, config.m)[final]
+    pred_matrix = np.concatenate([direct[keep][final][:, None], pred], axis=1)
+    return (pred_matrix - Y[keep][final][:, None]) ** 2, pred_matrix
+
+
+def _emse_replicate(replicate, config, max_iterations, rel_tolerance):
+    return _one(
+        _emse_chunk, replicate, config=config,
+        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
+    )
 
 
 def run_emse_study(
@@ -276,7 +378,7 @@ def run_emse_study(
     log-rescaled MSEs and mean predictions.  Replicates where any fit or
     prediction fails numerically are dropped and counted.
     """
-    replicates, (sq_err, pred), failed = _run_cell(_emse_replicate, config, fit_config)
+    replicates, (sq_err, pred), failed = _run_cell(_emse_chunk, config, fit_config, 3)
     completed = len(replicates)
     emse = _replicate_sum(sq_err) / completed  # (n_est, m)
     mean_pred = _replicate_sum(pred) / completed
@@ -306,23 +408,95 @@ def run_emse_study(
 # -------------------------------------------------------------- uncertainty
 
 
-def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
-    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
-    Y = _arrays.exp_checked(theta)
-    arr = _arrays.build(z, w, psi, sigma)
-    beta, sigma2, _, _, _ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
-    pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    jk_m1, jk_m2, _ = jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance)
-    bt_m1, bt_m2, *_ = bootstrap_core(
-        arr,
-        beta,
-        sigma2,
-        config.b_bootstrap,
-        rng.derive_seed(config.seed, replicate),
-        max_iterations,
-        rel_tolerance,
+def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+    _, theta, z, w, psi, sigma, _ = population
+    Y, errors = _arrays.exp_batch(theta)
+    keep = chunk.drop(errors)
+    Y, arr = Y[keep], _arrays.build(z[keep], w[keep], psi[keep], sigma[keep])
+    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
+    keep = chunk.drop(fit.errors)
+    Y, beta, sigma2 = Y[keep], fit.beta[keep], fit.sigma2[keep]
+    arr = _arrays.select_rows(arr, keep)
+    pred, m1, _, errors = _arrays.predict_batch(arr, beta, sigma2)
+    keep = chunk.drop(errors)
+    Y, beta, sigma2, pred, m1 = (x[keep] for x in (Y, beta, sigma2, pred, m1))
+    arr = _arrays.select_rows(arr, keep)
+    pred_loo, m1_loo, errors = _leave_one_out_terms(
+        arr, beta, sigma2, max_iterations, rel_tolerance
     )
-    return (pred - Y) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2
+    live = np.flatnonzero(chunk.drop(errors))
+    # one bootstrap_core call, a batch of B refits, per replicate: a chunk
+    # of bootstraps would hold B refit rows per replicate at once
+    outputs, errors = [], {}
+    for k, b in enumerate(live.tolist()):
+        jk_m1, jk_m2 = jackknife_terms(pred[b], m1[b], pred_loo[b], m1_loo[b])
+        try:
+            bt_m1, bt_m2, *_ = bootstrap_core(
+                _arrays.select_rows(arr, b),
+                beta[b],
+                float(sigma2[b]),
+                config.b_bootstrap,
+                rng.derive_seed(config.seed, chunk.replicates[chunk.alive[k]]),
+                max_iterations,
+                rel_tolerance,
+            )
+        except NumericalError as exc:
+            errors[k] = exc
+            continue
+        outputs.append(((pred[b] - Y[b]) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2))
+    chunk.drop(errors)
+    return [np.stack(output) for output in zip(*outputs)]
+
+
+def _leave_one_out_terms(arr, beta, sigma2, max_iterations, rel_tolerance):
+    """Each replicate's predictions and m1 terms from its m leave-one-out
+    refits, each warm-started at the replicate's beta.
+
+    Returns (n, m, m) predictions and m1 terms, C-contiguous with area i
+    refit without area j at [r, i, j], and {replicate: error} for the
+    replicates with a failing refit or prediction.
+    """
+    n, m = arr.z.shape
+    owners, dropped = np.divmod(np.arange(n * m), m)  # row r * m + j drops area j
+    loo_beta, loo_sigma2 = np.empty((n * m, arr.p)), np.empty(n * m)
+    failed = {}
+    for rows in _arrays.batches(n * m, m):
+        fit = _arrays.fit_batch(
+            _leave_one_out(arr, dropped[rows], owners[rows]),
+            max_iterations,
+            rel_tolerance,
+            beta[owners[rows]],
+        )
+        loo_beta[rows], loo_sigma2[rows] = fit.beta, fit.sigma2
+        failed |= {rows[k]: exc for k, exc in fit.errors.items()}
+    errors = _by_replicate(failed, m)
+    live = np.ones(n, dtype=bool)
+    live[list(errors)] = False
+    live = np.repeat(live, m)
+    pred, m1 = np.zeros((n * m, m)), np.zeros((n * m, m))
+    failed = {}
+    for rows in _arrays.batches(n * m, m):
+        rows = np.arange(rows.start, rows.stop)[live[rows]]
+        pred[rows], m1[rows], _, predict_errors = _arrays.predict_batch(
+            _arrays.select_rows(arr, owners[rows]),
+            loo_beta[rows],
+            loo_sigma2[rows],
+        )
+        failed |= {int(rows[k]): exc for k, exc in predict_errors.items()}
+    for replicate, exc in _by_replicate(failed, m).items():
+        errors.setdefault(replicate, exc)
+
+    def by_area(x):  # rows (r, j), columns i -> [r, i, j]
+        return np.ascontiguousarray(x.reshape(n, m, m).transpose(0, 2, 1))
+
+    return by_area(pred), by_area(m1), errors
+
+
+def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
+    return _one(
+        _mspe_chunk, replicate, config=config,
+        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
+    )
 
 
 def run_mspe_study(
@@ -340,7 +514,7 @@ def run_mspe_study(
     if config.m < config.p + 2:  # the jackknife refits on m - 1 areas
         raise ValueError(f"m must be >= p + 2 = {config.p + 2}, got {config.m}")
     replicates, (sq_err, jk_total, bt_total), failed = _run_cell(
-        _mspe_replicate, config, fit_config
+        _mspe_chunk, config, fit_config, config.m
     )
     completed = len(replicates)
     emse = _replicate_sum(sq_err) / completed
@@ -396,14 +570,23 @@ def run_mspe_study(
 # ---------------------------------------------------------- zero proportion
 
 
-def _zeros_replicate(replicate, config, max_iterations, rel_tolerance):
-    W, theta, z, w, psi, sigma, _ = _draw_population(config, replicate)
+def _zeros_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+    W, theta, z, w, psi, sigma, _ = population
     zero_sigma = np.zeros_like(sigma)
     # error-aware, Sigma ignored, true covariate
-    _, fit = _fit_variants(
-        z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma), max_iterations, rel_tolerance
+    _, fit, keep = _fit_variants(
+        chunk, z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma),
+        max_iterations, rel_tolerance, beta_init,
     )
-    return tuple(fit.truncated.tolist())
+    truncated = fit.truncated.reshape(len(keep), 3)[keep]
+    return tuple(truncated.T)
+
+
+def _zeros_replicate(replicate, config, max_iterations, rel_tolerance):
+    return _one(
+        _zeros_chunk, replicate, config=config,
+        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
+    )
 
 
 def zero_proportion_study(
@@ -421,9 +604,10 @@ def zero_proportion_study(
     """
     cells = _grid(config, m_values, k_values)
     (aware, ignored, true_covariate), completed, failed = _run_grid(
-        _zeros_replicate,
+        _zeros_chunk,
         cells,
         fit_config,
+        3,
         lambda *flags: [_replicate_sum(f) / len(f) for f in flags],
     )
     proportions = {
@@ -450,14 +634,25 @@ def zero_proportion_study(
 # ------------------------------------------------------------- sensitivity
 
 
-def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
-    W, theta, z, w, psi, sigma, me_idx = _draw_population(config, replicate)
+def _misspec_chunk(
+    chunk, population, config, d_mis, max_iterations, rel_tolerance, beta_init
+):
+    W, theta, z, w, psi, sigma, me_idx = population
     sigma_mis = np.zeros_like(sigma)
-    sigma_mis[me_idx] = float(d_mis) * np.eye(config.p)
-    _, fit = _fit_variants(
-        z, psi, (w, w), (sigma, sigma_mis), max_iterations, rel_tolerance
+    sigma_mis[np.arange(len(z))[:, None], me_idx] = float(d_mis) * np.eye(config.p)
+    _, fit, keep = _fit_variants(
+        chunk, z, psi, (w, w), (sigma, sigma_mis),
+        max_iterations, rel_tolerance, beta_init,
     )
-    return float(fit.beta[0, 0]), float(fit.beta[1, 0])
+    beta = fit.beta[:, 0].reshape(len(keep), 2)[keep]
+    return tuple(beta.T)
+
+
+def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
+    return _one(
+        _misspec_chunk, replicate, config=config, d_mis=d_mis,
+        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
+    )
 
 
 def misspecification_study(
@@ -483,9 +678,10 @@ def misspecification_study(
     beta_target = config.beta_true[0]
     cells = _grid(config, [config.m], k_values)
     stats, completed, failed = _run_grid(
-        _misspec_replicate,
+        _misspec_chunk,
         cells,
         fit_config,
+        2,
         lambda bt, bm: [
             np.mean(np.abs(bt - bm)), np.mean(bt - beta_target), np.mean(bm - beta_target)
         ],

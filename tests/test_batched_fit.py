@@ -6,6 +6,8 @@ iteration, that a B=1 call of the same kernel takes on it alone, and a
 replicate that fails must fail alone.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +128,74 @@ def test_leave_one_out_batch_equals_looped(seed, m, p, singular):
         )
         assert np.array_equal(beta, fit.beta[j]) and sigma2 == fit.sigma2[j]
         assert iterations == fit.iterations[j]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(4, 14),
+    p=st.integers(1, 3),
+    b=st.integers(1, 6),
+)
+def test_one_warm_start_per_replicate_equals_single_fits(seed, m, p, b):
+    gen = np.random.default_rng(seed)
+    m = max(m, p + 2)
+    psi, sigma = shared_areas(gen, m, p)
+    z, w = draw(gen, (b, m), p)
+    batch = _arrays.build(z, w, psi, sigma)
+    starts = gen.normal(1.0, 0.5, size=(b, p))
+    fit = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, starts)
+    for k in range(b):
+        single = _arrays.fit_batch(replicate(batch, k), MAX_ITERATIONS, TOLERANCE, starts[k])
+        assert np.array_equal(fit.beta[k], single.beta[0])
+        assert fit.sigma2[k] == single.sigma2[0]
+        assert tuple(getattr(fit, name)[k] for name in COUNTS) == tuple(
+            getattr(single, name)[0] for name in COUNTS
+        )
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), (2, 2), ()])
+def test_warm_start_of_another_shape_is_rejected(shape):
+    gen = np.random.default_rng(0)
+    psi, sigma = shared_areas(gen, 6, 1)
+    z, w = draw(gen, (2, 6), 1)
+    batch = _arrays.build(z, w, psi, sigma)
+    with pytest.raises(ValueError, match=r"^beta_init must have shape \(1,\) or \(2, 1\)$"):
+        _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, np.ones(shape))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    systems=st.lists(
+        st.tuples(st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324])), finite),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_one_by_one_solve_is_lapack_bit_for_bit(systems):
+    # one area of weight 1, covariate 1 and z = rhs: the moment system is
+    # a x = rhs, whose right side is a sum that turns -0.0 into +0.0
+    a, rhs = (np.array(column) for column in zip(*systems))
+    n = len(a)
+    batch = _arrays.AreaArrays(
+        z=rhs[:, None],
+        w=np.ones((n, 1, 1)),
+        psi=np.zeros(1),
+        sigma=np.zeros((n, 1, 1, 1)),
+        moment=a[:, None, None, None],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # dividing must not warn on overflow
+        beta, errors = _arrays._solve(batch, np.ones((n, 1)))
+    s = np.linalg.svd(a[:, None, None], compute_uv=False)[:, 0]
+    singular = s == 0.0  # the condition number of a 1x1 system is 1 otherwise
+    assert sorted(errors) == np.flatnonzero(singular).tolist()
+    for exc in errors.values():
+        assert str(exc).endswith("(smallest singular value 0.000e+00)")
+    ok = ~singular
+    expected = np.linalg.solve(a[ok, None, None], rhs[ok, None, None] + 0.0)[:, :, 0]
+    assert beta.shape == (n, 1)
+    assert beta[ok].tobytes() == expected.tobytes()

@@ -108,6 +108,23 @@ def test_mspe_bootstrap_rerun_is_byte_identical(dataset, tmp_path):
     assert (other / "mspe.csv").read_bytes() != outs[0]
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [(["--b", "1"], "b must be >= 2"), (["--seed", "-1"], "seed must be non-negative")],
+    ids=["b", "seed"],
+)
+def test_bad_bootstrap_option_exits_two_before_the_dataset_is_read(
+    tmp_path, capsys, option, message
+):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.csv"
+    argv = ["mspe", str(missing), "--method", "bootstrap", *option, "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_mspe_jackknife_writes_rows(dataset, tmp_path):
     out = tmp_path / "jk"
     assert main(["mspe", str(dataset), "--method", "jackknife", "--out", str(out)]) == 0

@@ -156,6 +156,9 @@ class TestFitConfig:
             FitConfig(rel_tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(rel_tolerance=-1e-3)
+        for start in (np.ones((1, 1)), 1.0):
+            with pytest.raises(ValueError, match="^beta_init must be one-dimensional$"):
+                FitConfig(beta_init=start)
 
 
 @settings(max_examples=40, deadline=None)

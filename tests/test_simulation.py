@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_areas
-from logsae import _arrays
+from logsae import _arrays, mspe, rng
 from logsae import simulation as sim
 from logsae.errors import NumericalError
 from logsae.estimation import FitConfig, fit
@@ -118,6 +118,17 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 cfg(**{field: value})
 
+    @pytest.mark.parametrize("field", ["m", "r_replications", "b_bootstrap"])
+    @pytest.mark.parametrize("value", [20.5, 20.0, True, "20", np.float64(20.0)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            cfg(**{field: value})
+
+    def test_numpy_integer_counts_held_as_ints(self):
+        c = cfg(m=np.int64(12), r_replications=np.int32(3), b_bootstrap=np.uint8(5))
+        assert (c.m, c.r_replications, c.b_bootstrap) == (12, 3, 5)
+        assert all(type(v) is int for v in (c.m, c.r_replications, c.b_bootstrap))
+
     @pytest.mark.parametrize(
         "beta_true, message",
         [
@@ -204,7 +215,7 @@ class TestMspeStudy:
         bt_const = np.full(5, 2.0)
 
         monkeypatch.setattr(
-            sim, "jackknife_core", lambda *a, **k: (jk_const.copy(), np.zeros(5), 0)
+            sim, "jackknife_terms", lambda *a, **k: (jk_const.copy(), np.zeros(5))
         )
         monkeypatch.setattr(
             sim,
@@ -341,38 +352,73 @@ class TestMisspecificationStudy:
             sim.misspecification_study(config, d_mis=4.0)
 
 
-def _looped_emse(replicate, config, max_iterations, rel_tolerance):
+def _looped_emse(replicate, config, max_iterations, rel_tolerance, beta_init=None):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
     Y = _arrays.exp_checked(theta)
     zero = np.zeros_like(sigma)
     preds = [_arrays.exp_checked(z)]
     for covariate, cov in ((W, zero), (w, zero), (w, sigma)):
         arr = _arrays.build(z, covariate, psi, cov)
-        beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance)
+        beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
         preds.append(_arrays.predictions_and_m1(arr, beta, sigma2)[0])
     pred = np.stack(preds)
     return (pred - Y) ** 2, pred
 
 
-def _looped_zeros(replicate, config, max_iterations, rel_tolerance):
+def _looped_zeros(replicate, config, max_iterations, rel_tolerance, beta_init=None):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
     zero = np.zeros_like(sigma)
     flags = []
     for covariate, cov in ((w, sigma), (w, zero), (W, zero)):
         arr = _arrays.build(z, covariate, psi, cov)
-        flags.append(_arrays.fit_core(arr, max_iterations, rel_tolerance)[4])
+        flags.append(_arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)[4])
     return tuple(flags)
 
 
-def _looped_misspec(replicate, config, d_mis, max_iterations, rel_tolerance):
+def _looped_misspec(
+    replicate, config, d_mis, max_iterations, rel_tolerance, beta_init=None
+):
     W, theta, z, w, psi, sigma, me_idx = sim._draw_population(config, replicate)
     sigma_mis = np.zeros_like(sigma)
     sigma_mis[me_idx] = d_mis * np.eye(config.p)
     betas = []
     for cov in (sigma, sigma_mis):
         arr = _arrays.build(z, w, psi, cov)
-        betas.append(float(_arrays.fit_core(arr, max_iterations, rel_tolerance)[0][0]))
+        fit = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
+        betas.append(float(fit[0][0]))
     return tuple(betas)
+
+
+def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=None):
+    W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
+    Y = _arrays.exp_checked(theta)
+    arr = _arrays.build(z, w, psi, sigma)
+    beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
+    pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    jk_m1, jk_m2, _ = mspe.jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance)
+    bt_m1, bt_m2, *_ = mspe.bootstrap_core(
+        arr,
+        beta,
+        sigma2,
+        config.b_bootstrap,
+        rng.derive_seed(config.seed, replicate),
+        max_iterations,
+        rel_tolerance,
+    )
+    return (pred - Y) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2
+
+
+# per study: chunk function, one-replicate view, a reference that fits
+# one dataset at a time through the B=1 kernels, fit rows per replicate
+# (None: m) and the study's own arguments
+STUDIES = {
+    "emse": (sim._emse_chunk, sim._emse_replicate, _looped_emse, 3, {}),
+    "mspe": (sim._mspe_chunk, sim._mspe_replicate, _looped_mspe, None, {}),
+    "zeros": (sim._zeros_chunk, sim._zeros_replicate, _looped_zeros, 3, {}),
+    "misspec": (
+        sim._misspec_chunk, sim._misspec_replicate, _looped_misspec, 2, {"d_mis": 4.0}
+    ),
+}
 
 
 # near-zero covariate and sampling variances: many replicates fail
@@ -389,17 +435,10 @@ FAILING_DESIGN = dict(
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize(
-    "batched, looped, kwargs",
-    [
-        (sim._emse_replicate, _looped_emse, {}),
-        (sim._zeros_replicate, _looped_zeros, {}),
-        (sim._misspec_replicate, _looped_misspec, {"d_mis": 4.0}),
-    ],
-    ids=["emse", "zeros", "misspec"],
-)
-def test_batched_variants_match_fitting_them_one_at_a_time(batched, looped, kwargs):
-    config = cfg(**FAILING_DESIGN)
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_batched_variants_match_fitting_them_one_at_a_time(study):
+    _, batched, looped, _, kwargs = STUDIES[study]
+    config = cfg(**FAILING_DESIGN, b_bootstrap=6)
     kwargs = dict(kwargs, config=config, max_iterations=200, rel_tolerance=1e-10)
     failed = 0
     for r in range(40):
@@ -415,6 +454,96 @@ def test_batched_variants_match_fitting_them_one_at_a_time(batched, looped, kwar
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
     assert 10 <= failed <= 30
+
+
+FIT = dict(max_iterations=200, rel_tolerance=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("cells", [70, None], ids=["small_chunks", "default_chunks"])
+@pytest.mark.parametrize(
+    "study, design",
+    [
+        *((study, "regular") for study in STUDIES),
+        *((study, "failing") for study in STUDIES),
+        ("emse", "p2"),
+        ("zeros", "p2"),
+    ],
+)
+def test_chunked_run_equals_the_replicates_one_at_a_time(
+    monkeypatch, study, design, cells
+):
+    chunk_fn, view, _, width, kwargs = STUDIES[study]
+    config = {
+        "regular": cfg(r_replications=12, b_bootstrap=6),
+        "failing": cfg(**FAILING_DESIGN, r_replications=40, b_bootstrap=6),
+        "p2": cfg(m=6, beta_true=(3.0, 1.0), r_replications=12),
+    }[design]
+    if cells is not None:
+        # chunks of 1-4 replicates; at m=10 an MSPE replicate's 10
+        # leave-one-out refits span two fit batches
+        monkeypatch.setattr(_arrays, "_BATCH_CELLS", cells)
+    replicates, outputs, failed = sim._run_cell(
+        chunk_fn, config, None, width or config.m, **kwargs
+    )
+    done, expected = [], []
+    for r in range(config.r_replications):
+        try:
+            expected.append(view(r, config=config, **kwargs, **FIT))
+        except NumericalError:
+            continue
+        done.append(r)
+    assert replicates.tolist() == done
+    assert failed == config.r_replications - len(done)
+    assert (failed > 0) == (design == "failing")
+    for got, column in zip(outputs, zip(*expected), strict=True):
+        want = np.stack(column)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_chunks_start_every_cold_fit_at_beta_init(study):
+    chunk_fn, _, looped, _, kwargs = STUDIES[study]
+    config = cfg(r_replications=3, b_bootstrap=6)
+    start = np.array([1.7])
+    outputs, errors = sim._run_chunk(
+        chunk_fn,
+        range(config.r_replications),
+        config=config,
+        beta_init=start,
+        **kwargs,
+        **FIT,
+    )
+    assert errors == {}
+    for r in range(config.r_replications):
+        want = looped(r, config=config, beta_init=start, **kwargs, **FIT)
+        for got, value in zip(outputs, want, strict=True):
+            assert np.asarray(got[r]).tobytes() == np.asarray(value).tobytes()
+
+
+STUDY_RUNS = {
+    "emse": sim.run_emse_study,
+    "mspe": sim.run_mspe_study,
+    "zeros": lambda c, f: sim.zero_proportion_study(c, (c.m,), (50.0,), fit_config=f),
+    "misspec": lambda c, f: sim.misspecification_study(c, 4.0, fit_config=f),
+}
+
+
+@pytest.mark.parametrize("study", ["emse", "mspe", "misspec"])
+def test_studies_use_beta_init(study):
+    run = STUDY_RUNS[study]
+    config = cfg(r_replications=3, b_bootstrap=6)
+    few = FitConfig(max_iterations=3)
+    default = run(config, few).to_json_dict()
+    started = run(config, FitConfig(max_iterations=3, beta_init=np.array([1e6])))
+    assert started.to_json_dict() != default
+
+
+@pytest.mark.parametrize("study", list(STUDY_RUNS))
+def test_studies_reject_a_beta_init_of_the_wrong_shape(study):
+    wrong = FitConfig(beta_init=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match=r"^beta_init must have shape \(1,\)"):
+        STUDY_RUNS[study](cfg(r_replications=2), wrong)
 
 
 class TestGrid:
