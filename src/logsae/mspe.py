@@ -74,15 +74,61 @@ def _leave_one_out(arr, dropped, owners=None):
     ``arr``, or, for a batch ``arr``, of its dataset owners[r]."""
     kept = np.arange(arr.m - 1)
     idx = kept + (kept >= np.asarray(dropped)[:, None])
-    if owners is not None:
-        idx = (np.asarray(owners)[:, None], idx)
+    rows = idx if owners is None else (np.asarray(owners)[:, None], idx)
+
+    def take(x, ndim):  # a field the batch shares has no owners axis
+        return x[rows] if x.ndim == ndim else x[idx]
+
     return _arrays.AreaArrays(
-        z=arr.z[idx],
-        w=arr.w[idx],
-        psi=arr.psi[idx],
-        sigma=arr.sigma[idx],
-        moment=arr.moment[idx],
+        z=take(arr.z, 2),
+        w=take(arr.w, 3),
+        psi=take(arr.psi, 2),
+        sigma=take(arr.sigma, 4),
+        moment=take(arr.moment, 4),
     )
+
+
+def leave_one_out_terms(arr, beta, max_iterations, rel_tolerance):
+    """The m leave-one-out refits of each of n datasets, and each refit's
+    predictions and m1 terms on its own dataset's areas.
+
+    ``arr`` holds the n datasets as `_arrays.fit_batch` takes them, and
+    each refit is warm-started at its dataset's row of ``beta`` (n, p).  Row
+    r * m + j is dataset r refit without area j.  Returns (n, m, m)
+    predictions and m1 terms, C-contiguous with area i of dataset r under
+    refit j at [r, i, j]; the refits' converged flags (n * m,); and
+    {row: error} for the refits that failed and for the predictions that
+    failed.  A dataset with a failed refit gets no predictions.
+    """
+    n, m = arr.z.shape
+    owners, dropped = np.divmod(np.arange(n * m), m)
+    loo_beta, loo_sigma2 = np.empty((n * m, arr.p)), np.empty(n * m)
+    converged = np.zeros(n * m, dtype=bool)
+    fit_errors = {}
+    for rows in _arrays.batches(n * m, m):
+        fit = _arrays.fit_batch(
+            _leave_one_out(arr, dropped[rows], owners[rows]),
+            max_iterations,
+            rel_tolerance,
+            beta[owners[rows]],
+        )
+        loo_beta[rows], loo_sigma2[rows] = fit.beta, fit.sigma2
+        converged[rows] = fit.converged
+        fit_errors |= {rows[k]: exc for k, exc in fit.errors.items()}
+    live = np.ones(n, dtype=bool)
+    live[[row // m for row in fit_errors]] = False
+    live = np.repeat(live, m)
+    pred, m1 = np.zeros((n, m, m)), np.zeros((n, m, m))
+    predict_errors = {}
+    for rows in _arrays.batches(n * m, m):
+        rows = np.arange(rows.start, rows.stop)[live[rows]]
+        # refit row r * m + j fills column j of dataset r's (m, m) block
+        at = owners[rows], slice(None), dropped[rows]
+        pred[at], m1[at], _, errors = _arrays.predict_batch(
+            _arrays.select_rows(arr, owners[rows]), loo_beta[rows], loo_sigma2[rows]
+        )
+        predict_errors |= {int(rows[k]): exc for k, exc in errors.items()}
+    return pred, m1, converged, fit_errors, predict_errors
 
 
 def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
@@ -90,30 +136,19 @@ def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
     if m < p + 2:
         raise InsufficientAreas(f"jackknife needs at least {p + 2} areas, got {m}")
     pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    fits = []
-    for rows in _arrays.batches(m, m):
-        fit = _arrays.fit_batch(
-            _leave_one_out(arr, rows), max_iterations, rel_tolerance, beta
-        )
-        if fit.errors:
-            j = min(fit.errors)
-            exc = fit.errors[j]
-            raise SingularMomentMatrix(
-                f"leave-one-out refit dropping this area failed: {exc}",
-                index=rows[j],
-            ) from exc
-        fits.append((rows, fit))
-    m1_loo = np.empty((m, m))
-    pred_loo = np.empty((m, m))
-    nonconverged = 0
-    for rows, fit in fits:
-        pred_j, m1_j, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
-        _arrays.raise_first(errors)
-        m1_loo[:, rows.start : rows.stop] = m1_j.T
-        pred_loo[:, rows.start : rows.stop] = pred_j.T
-        nonconverged += int(np.count_nonzero(~fit.converged))
-    m1_corrected, m2 = jackknife_terms(pred_full, m1_full, pred_loo, m1_loo)
-    return m1_corrected, m2, nonconverged
+    one = _arrays.AreaArrays(arr.z[None], arr.w[None], arr.psi, arr.sigma, arr.moment)
+    pred_loo, m1_loo, converged, fit_errors, predict_errors = leave_one_out_terms(
+        one, np.asarray(beta, dtype=float)[None], max_iterations, rel_tolerance
+    )
+    if fit_errors:
+        j = min(fit_errors)
+        exc = fit_errors[j]
+        raise SingularMomentMatrix(
+            f"leave-one-out refit dropping this area failed: {exc}", index=j
+        ) from exc
+    _arrays.raise_first(predict_errors)
+    m1_corrected, m2 = jackknife_terms(pred_full, m1_full, pred_loo[0], m1_loo[0])
+    return m1_corrected, m2, int(np.count_nonzero(~converged))
 
 
 def jackknife_terms(pred_full, m1_full, pred_loo, m1_loo):

@@ -33,7 +33,7 @@ import numpy as np
 from . import _arrays, rng
 from .errors import NumericalError
 from .estimation import FitConfig
-from .mspe import _leave_one_out, bootstrap_core, jackknife_terms
+from .mspe import bootstrap_core, jackknife_terms, leave_one_out_terms
 
 __all__ = [
     "SimulationConfig",
@@ -421,8 +421,12 @@ def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
     keep = chunk.drop(errors)
     Y, beta, sigma2, pred, m1 = (x[keep] for x in (Y, beta, sigma2, pred, m1))
     arr = _arrays.select_rows(arr, keep)
-    pred_loo, m1_loo, errors = _leave_one_out_terms(
-        arr, beta, sigma2, max_iterations, rel_tolerance
+    pred_loo, m1_loo, _, fit_errors, predict_errors = leave_one_out_terms(
+        arr, beta, max_iterations, rel_tolerance
+    )
+    # a replicate with a failed refit has no predictions, so no key repeats
+    errors = _by_replicate(fit_errors, config.m) | _by_replicate(
+        predict_errors, config.m
     )
     live = np.flatnonzero(chunk.drop(errors))
     # one bootstrap_core call, a batch of B refits, per replicate: a chunk
@@ -446,50 +450,6 @@ def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
         outputs.append(((pred[b] - Y[b]) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2))
     chunk.drop(errors)
     return [np.stack(output) for output in zip(*outputs)]
-
-
-def _leave_one_out_terms(arr, beta, sigma2, max_iterations, rel_tolerance):
-    """Each replicate's predictions and m1 terms from its m leave-one-out
-    refits, each warm-started at the replicate's beta.
-
-    Returns (n, m, m) predictions and m1 terms, C-contiguous with area i
-    refit without area j at [r, i, j], and {replicate: error} for the
-    replicates with a failing refit or prediction.
-    """
-    n, m = arr.z.shape
-    owners, dropped = np.divmod(np.arange(n * m), m)  # row r * m + j drops area j
-    loo_beta, loo_sigma2 = np.empty((n * m, arr.p)), np.empty(n * m)
-    failed = {}
-    for rows in _arrays.batches(n * m, m):
-        fit = _arrays.fit_batch(
-            _leave_one_out(arr, dropped[rows], owners[rows]),
-            max_iterations,
-            rel_tolerance,
-            beta[owners[rows]],
-        )
-        loo_beta[rows], loo_sigma2[rows] = fit.beta, fit.sigma2
-        failed |= {rows[k]: exc for k, exc in fit.errors.items()}
-    errors = _by_replicate(failed, m)
-    live = np.ones(n, dtype=bool)
-    live[list(errors)] = False
-    live = np.repeat(live, m)
-    pred, m1 = np.zeros((n * m, m)), np.zeros((n * m, m))
-    failed = {}
-    for rows in _arrays.batches(n * m, m):
-        rows = np.arange(rows.start, rows.stop)[live[rows]]
-        pred[rows], m1[rows], _, predict_errors = _arrays.predict_batch(
-            _arrays.select_rows(arr, owners[rows]),
-            loo_beta[rows],
-            loo_sigma2[rows],
-        )
-        failed |= {int(rows[k]): exc for k, exc in predict_errors.items()}
-    for replicate, exc in _by_replicate(failed, m).items():
-        errors.setdefault(replicate, exc)
-
-    def by_area(x):  # rows (r, j), columns i -> [r, i, j]
-        return np.ascontiguousarray(x.reshape(n, m, m).transpose(0, 2, 1))
-
-    return by_area(pred), by_area(m1), errors
 
 
 def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):

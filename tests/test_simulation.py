@@ -394,8 +394,16 @@ def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=Non
     Y = _arrays.exp_checked(theta)
     arr = _arrays.build(z, w, psi, sigma)
     beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
-    pred, _, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    jk_m1, jk_m2, _ = mspe.jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance)
+    pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    # the leave-one-out refits one at a time, each warm-started at beta
+    m = config.m
+    pred_loo, m1_loo = np.empty((m, m)), np.empty((m, m))
+    for j in range(m):
+        kept = np.arange(m) != j
+        loo = _arrays.build(z[kept], w[kept], psi[kept], sigma[kept])
+        beta_j, sigma2_j, *_ = _arrays.fit_core(loo, max_iterations, rel_tolerance, beta)
+        pred_loo[:, j], m1_loo[:, j], _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
+    jk_m1, jk_m2 = mspe.jackknife_terms(pred, m1, pred_loo, m1_loo)
     bt_m1, bt_m2, *_ = mspe.bootstrap_core(
         arr,
         beta,
