@@ -3,11 +3,18 @@ code.  Internal: public modules validate `AreaObservation` lists once via
 `stack`, or parse a dataset file straight into `AreaArrays` with
 `dataio.load_arrays`, and then work on plain ndarrays.
 
-The fit and the predictions are batched: `fit_batch` runs B datasets and
-`predict_batch` B parameter sets along a leading axis.  A replicate that
-fails a check gets the error it would raise on its own and stops; the
-others go on.  The single-dataset kernels (`fit_core`, `weighted_solve`,
-`predictions_and_m1`, ...) are their B=1 views and raise that error.
+The kernels are batched: each `*_batch` kernel runs B rows along a
+leading axis, B datasets for `fit_batch` and B parameter sets for
+`predict_batch`.  A replicate that fails a check gets the error it would
+raise on its own and stops; the others go on, and the kernel returns
+{row: error}, which a caller with one dataset passes to `raise_first`.
+`batch_of_one` makes one dataset a batch, and `select_rows` takes
+replicates, or areas of them, from a batch.
+
+Three single-dataset views remain, each a batch kernel plus
+`raise_first`: `fit_core`, `weighted_solve` and `predictions_and_m1`.
+perfbench traces them by name, so they stay until it is re-pointed at the
+batch kernels (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -123,15 +130,27 @@ def _matvec(w: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.matmul(w, beta[:, :, None])[:, :, 0]
 
 
-def select_rows(batch: AreaArrays, sel) -> AreaArrays:
-    """The replicates ``sel`` of a batch whose z and w are batched."""
+def batch_of_one(arr: AreaArrays) -> AreaArrays:
+    """One dataset as a batch of one: z and w gain the replicate axis, and
+    the other fields are shared."""
+    return AreaArrays(arr.z[None], arr.w[None], arr.psi, arr.sigma, arr.moment)
+
+
+def select_rows(batch: AreaArrays, sel, areas=None) -> AreaArrays:
+    """The replicates ``sel`` of a batch whose z and w are batched; with
+    ``areas``, row r keeps only the areas ``areas[r]`` of replicate
+    ``sel[r]``.  A field without a replicate axis is shared by the batch:
+    it stays shared, or with ``areas`` each row takes its own areas of it."""
+    rows = sel if areas is None else (np.asarray(sel)[:, None], areas)
 
     def take(x, ndim):
-        return x[sel] if x.ndim == ndim else x
+        if x.ndim == ndim:
+            return x[rows]
+        return x if areas is None else x[areas]
 
     return AreaArrays(
-        z=batch.z[sel],
-        w=batch.w[sel],
+        z=take(batch.z, 2),
+        w=take(batch.w, 3),
         psi=take(batch.psi, 2),
         sigma=take(batch.sigma, 4),
         moment=take(batch.moment, 4),
@@ -181,7 +200,7 @@ def _singular_message(smallest) -> str:
     )
 
 
-def _weights(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
+def weights_batch(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
     """Moment weights D = 1 / (beta' sigma_i beta + sigma2 + psi_i) for
     betas (B, p), and {replicate: error}."""
     den = quad_form(batch.sigma, beta) + sigma2[:, None] + batch.psi
@@ -204,7 +223,7 @@ def _weights(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
     return weights, errors
 
 
-def _sigma2(batch: AreaArrays, beta: np.ndarray):
+def sigma2_batch(batch: AreaArrays, beta: np.ndarray):
     """Variance moments for betas (B, p): truncated values and flags."""
     resid = batch.z - _matvec(batch.w, beta)
     dot = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
@@ -213,25 +232,10 @@ def _sigma2(batch: AreaArrays, beta: np.ndarray):
     return np.where(truncated, 0.0, raw), truncated
 
 
-def _batch_of_one(arr: AreaArrays) -> AreaArrays:
-    return AreaArrays(arr.z[None], arr.w[None], arr.psi, arr.sigma, arr.moment)
-
-
 def weighted_solve(arr: AreaArrays, weights: np.ndarray) -> np.ndarray:
-    beta, errors = _solve(_batch_of_one(arr), weights[None])
+    beta, errors = _solve(batch_of_one(arr), weights[None])
     raise_first(errors)
     return beta[0]
-
-
-def moment_weights(arr: AreaArrays, beta: np.ndarray, sigma2: float) -> np.ndarray:
-    weights, errors = _weights(arr, beta[None], np.array([sigma2]))
-    raise_first(errors)
-    return weights[0]
-
-
-def sigma2_moment(arr: AreaArrays, beta: np.ndarray) -> tuple[float, bool]:
-    sigma2, truncated = _sigma2(_batch_of_one(arr), beta[None])
-    return float(sigma2[0]), bool(truncated[0])
 
 
 @dataclass(frozen=True)
@@ -257,11 +261,11 @@ class BatchFit:
 
 
 def fit_batch(
-    arr: AreaArrays, max_iterations: int, rel_tolerance: float, beta_init=None
+    batch: AreaArrays, max_iterations: int, rel_tolerance: float, beta_init=None
 ) -> BatchFit:
     """`fit_core` on B datasets at once.
 
-    ``arr`` holds the B datasets: ``z`` (B, m) and ``w`` (B, m, p), and
+    ``batch`` holds the B datasets: ``z`` (B, m) and ``w`` (B, m, p), and
     ``psi``, ``sigma`` and ``moment`` either per replicate or shared.
     ``beta_init``, if given, is one start (p,) for every replicate or one
     per replicate (B, p).  Each replicate takes the steps that `fit_core`
@@ -269,10 +273,9 @@ def fit_batch(
     ``max_iterations``; one that fails a check stops with that error in
     ``errors`` and the rest go on.
     """
-    m, p = arr.m, arr.p
+    m, p = batch.m, batch.p
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to fit, got {m}")
-    batch = arr if arr.z.ndim == 2 else _batch_of_one(arr)
     n = len(batch.z)
     if beta_init is None:
         beta, errors = _solve(batch, np.ones((n, m)))
@@ -283,7 +286,7 @@ def fit_batch(
         elif beta.shape != (n, p):
             raise ValueError(f"beta_init must have shape ({p},) or ({n}, {p})")
         errors = {}
-    sigma2, truncated = _sigma2(batch, beta)
+    sigma2, truncated = sigma2_batch(batch, beta)
 
     out_beta, out_sigma2 = np.empty((n, p)), np.empty(n)
     out_truncated, converged = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -303,9 +306,9 @@ def fit_batch(
         if not rows.size or iteration == max_iterations:
             break
         iteration += 1
-        weights, weight_errors = _weights(batch, beta, sigma2)
+        weights, weight_errors = weights_batch(batch, beta, sigma2)
         beta_new, solve_errors = _solve(batch, weights)
-        sigma2_new, truncated = _sigma2(batch, beta_new)
+        sigma2_new, truncated = sigma2_batch(batch, beta_new)
         step = (np.abs(beta_new - beta) / (1.0 + np.abs(beta_new))).max(axis=1)
         step_sigma2 = np.abs(sigma2_new - sigma2) / (1.0 + np.abs(sigma2_new))
         step = np.where(step_sigma2 > step, step_sigma2, step)
@@ -343,7 +346,7 @@ def fit_core(
     relative step below `rel_tolerance` jointly over beta and sigma2.
     This is `fit_batch` on one dataset.
     """
-    fit = fit_batch(arr, max_iterations, rel_tolerance, beta_init)
+    fit = fit_batch(batch_of_one(arr), max_iterations, rel_tolerance, beta_init)
     raise_first(fit.errors)
     return (
         fit.beta[0],
@@ -357,28 +360,17 @@ def fit_core(
 # -------------------------------------------------------------- prediction
 
 
-def _gamma(sigma, psi, beta, sigma2):
-    """Shrinkage weights for betas (..., p) and sigma2s (...), and the
-    entries whose denominator is not positive."""
-    num = quad_form(sigma, beta) + np.asarray(sigma2)[..., None]
+def gamma_batch(sigma, psi, beta: np.ndarray, sigma2: np.ndarray):
+    """Shrinkage weights (B, m) for betas (B, p) and sigma2s (B,), and
+    {row: error} for the rows with a denominator that is not positive."""
+    num = quad_form(sigma, beta) + sigma2[:, None]
     den = num + psi
     degenerate = den <= 0.0
-    return num / np.where(degenerate, 1.0, den), degenerate
-
-
-def gamma_vec(
-    sigma: np.ndarray, psi: np.ndarray, beta: np.ndarray, sigma2: float
-) -> np.ndarray:
-    g, degenerate = _gamma(sigma, psi, beta, sigma2)
-    raise_first(_degenerate_errors(degenerate[None]))
-    return g
-
-
-def _degenerate_errors(degenerate) -> dict:
-    return {
+    errors = {
         b: DegenerateVariance("beta'sigma_me beta + sigma2_nu + psi == 0", index=i)
         for b, i in _first_flags(degenerate)
     }
+    return num / np.where(degenerate, 1.0, den), errors
 
 
 def exp_batch(x: np.ndarray):
@@ -396,13 +388,6 @@ def exp_batch(x: np.ndarray):
     return np.exp(np.where(bad, 0.0, x)), errors
 
 
-def exp_checked(x: np.ndarray) -> np.ndarray:
-    """exp(x), or PredictionOverflow carrying the first offending index."""
-    out, errors = exp_batch(x[None])
-    raise_first(errors)
-    return out[0]
-
-
 def log_expm1(a: np.ndarray) -> np.ndarray:
     # log(e^a - 1) for a > 0, stable at both ends
     out = np.empty_like(a)
@@ -413,8 +398,10 @@ def log_expm1(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _m1(mean: np.ndarray, var: np.ndarray):
-    """m1 terms for (B, m) conditional moments, and {row: error}."""
+def m1_batch(mean: np.ndarray, var: np.ndarray):
+    """Conditional variances of exp(theta), exp(var) (exp(var) - 1)
+    exp(2 mean), for (B, m) conditional moments, exactly zero where var is
+    zero; and {row: error}."""
     pos = var > 0.0
     exponent = np.zeros(var.shape)  # placeholder where var == 0
     exponent[pos] = var[pos] + log_expm1(var[pos]) + 2.0 * mean[pos]
@@ -423,29 +410,12 @@ def _m1(mean: np.ndarray, var: np.ndarray):
     return m1, errors
 
 
-def m1_from_moments(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Conditional variance of exp(theta): exp(var) (exp(var) - 1)
-    exp(2 mean), exactly zero where var is zero."""
-    m1, errors = _m1(mean[None], var[None])
-    raise_first(errors)
-    return m1[0]
-
-
-def _conditional(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
-    """Conditional mean and variance of each theta_i and gamma_i, (B, m)
-    each for betas (B, p), and {row: error}."""
-    g, degenerate = _gamma(arr.sigma, arr.psi, beta, sigma2)
+def conditional_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
+    """Conditional mean and variance of each theta_i given the data, and
+    gamma_i, (B, m) each for betas (B, p), and {row: error}."""
+    g, errors = gamma_batch(arr.sigma, arr.psi, beta, sigma2)
     mean = g * arr.z + (1.0 - g) * _matvec(arr.w, beta)
-    return mean, g * arr.psi, g, _degenerate_errors(degenerate)
-
-
-def conditional_moments(
-    arr: AreaArrays, beta: np.ndarray, sigma2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and variance of each theta_i given the data, and gamma_i."""
-    mean, var, g, errors = _conditional(arr, beta[None], np.array([sigma2]))
-    raise_first(errors)
-    return mean[0], var[0], g[0]
+    return mean, g * arr.psi, g, errors
 
 
 def predict_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
@@ -456,9 +426,9 @@ def predict_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
     the parameter sets that fail a check, each the error
     `predictions_and_m1` raises for that set alone.
     """
-    mean, var, g, errors = _conditional(arr, beta, sigma2)
+    mean, var, g, errors = conditional_batch(arr, beta, sigma2)
     pred, pred_errors = exp_batch(mean + 0.5 * var)
-    m1, m1_errors = _m1(mean, var)
+    m1, m1_errors = m1_batch(mean, var)
     return pred, m1, g, m1_errors | pred_errors | errors
 
 

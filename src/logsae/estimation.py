@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from .model import ModelParams, _area_named, _dataset
+from .model import ModelParams, _area_named, _check_beta, _dataset
 
 __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
 
@@ -73,11 +73,13 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
     out finite and positive; otherwise the system is reported singular.
     """
     ids, arr = _dataset(areas)
+    beta = _check_beta(params_current.beta, arr.p)
     with _area_named(ids):
-        weights = _arrays.moment_weights(
-            arr, params_current.beta, params_current.sigma2_nu
+        weights, errors = _arrays.weights_batch(
+            arr, beta[None], np.array([params_current.sigma2_nu])
         )
-    return _arrays.weighted_solve(arr, weights)
+        _arrays.raise_first(errors)
+    return _arrays.weighted_solve(arr, weights[0])
 
 
 def estimate_sigma2(areas, beta) -> tuple[float, bool]:
@@ -88,7 +90,9 @@ def estimate_sigma2(areas, beta) -> tuple[float, bool]:
     not flagged as truncated.
     """
     arr = _dataset(areas).arrays
-    return _arrays.sigma2_moment(arr, np.asarray(beta, dtype=float))
+    beta = _check_beta(beta, arr.p)
+    sigma2, truncated = _arrays.sigma2_batch(_arrays.batch_of_one(arr), beta[None])
+    return float(sigma2[0]), bool(truncated[0])
 
 
 def fit(areas, config: FitConfig | None = None) -> ModelFit:
@@ -107,7 +111,11 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
         beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
             arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
         )
-        gammas = _arrays.gamma_vec(arr.sigma, arr.psi, beta, sigma2)
+        gammas, errors = _arrays.gamma_batch(
+            arr.sigma, arr.psi, beta[None], np.array([sigma2])
+        )
+        _arrays.raise_first(errors)
+    gammas = gammas[0]
     gammas.setflags(write=False)
     return ModelFit(
         params=ModelParams(beta=beta, sigma2_nu=sigma2),

@@ -193,12 +193,26 @@ class EbPrediction:
     gamma: np.ndarray
 
 
+def _check_beta(beta, p: int) -> np.ndarray:
+    """``beta`` as a float vector of length ``p``, or ValueError naming both
+    lengths; a length the arrays would broadcast must not pass."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (p,):
+        raise ValueError(f"beta has shape {beta.shape} but the areas have p={p}")
+    return beta
+
+
 def _moments(obs: AreaObservation, params: ModelParams):
-    # conditional (mean, variance, gamma) of one area, as length-1 arrays
+    # conditional (mean, variance, gamma) of one area, as (1, 1) arrays
     arr = _arrays.build(
         np.array([obs.z]), obs.w[None, :], np.array([obs.psi]), obs.sigma_me[None]
     )
-    return _arrays.conditional_moments(arr, params.beta, params.sigma2_nu)
+    beta = _check_beta(params.beta, obs.p)
+    mean, var, gamma, errors = _arrays.conditional_batch(
+        arr, beta[None], np.array([params.sigma2_nu])
+    )
+    _arrays.raise_first(errors)
+    return mean, var, gamma
 
 
 def _dataset(areas) -> Dataset:
@@ -248,8 +262,12 @@ def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> fl
         there is no weighting to define.
     """
     sig = np.asarray(sigma_me, dtype=float)[None]
-    psi_arr = np.array([psi], dtype=float)
-    return float(_arrays.gamma_vec(sig, psi_arr, params.beta, params.sigma2_nu)[0])
+    beta = _check_beta(params.beta, sig.shape[-1])
+    gamma, errors = _arrays.gamma_batch(
+        sig, np.array([psi], dtype=float), beta[None], np.array([params.sigma2_nu])
+    )
+    _arrays.raise_first(errors)
+    return float(gamma[0, 0])
 
 
 def posterior_moments(obs: AreaObservation, params: ModelParams) -> PosteriorMoments:
@@ -261,7 +279,7 @@ def posterior_moments(obs: AreaObservation, params: ModelParams) -> PosteriorMom
     with _area_named([obs.area_id]):
         mean, var, gamma = _moments(obs, params)
     return PosteriorMoments(
-        mean=float(mean[0]), variance=float(var[0]), gamma=float(gamma[0])
+        mean=float(mean[0, 0]), variance=float(var[0, 0]), gamma=float(gamma[0, 0])
     )
 
 
@@ -281,7 +299,9 @@ def eb_predict(obs: AreaObservation, params: ModelParams) -> float:
     """
     with _area_named([obs.area_id]):
         mean, var, _ = _moments(obs, params)
-        return float(_arrays.exp_checked(mean + 0.5 * var)[0])
+        pred, errors = _arrays.exp_batch(mean + 0.5 * var)
+        _arrays.raise_first(errors)
+    return float(pred[0, 0])
 
 
 def m1_term(obs: AreaObservation, params: ModelParams) -> float:
@@ -293,7 +313,9 @@ def m1_term(obs: AreaObservation, params: ModelParams) -> float:
     """
     with _area_named([obs.area_id]):
         mean, var, _ = _moments(obs, params)
-        return float(_arrays.m1_from_moments(mean, var)[0])
+        m1, errors = _arrays.m1_batch(mean, var)
+        _arrays.raise_first(errors)
+    return float(m1[0, 0])
 
 
 def predict_areas(areas, params: ModelParams) -> EbPrediction:
@@ -305,6 +327,7 @@ def predict_areas(areas, params: ModelParams) -> EbPrediction:
         If ``areas`` is empty.
     """
     ids, arr = _dataset(areas)
+    beta = _check_beta(params.beta, arr.p)
     with _area_named(ids):
-        columns = _arrays.predictions_and_m1(arr, params.beta, params.sigma2_nu)
+        columns = _arrays.predictions_and_m1(arr, beta, params.sigma2_nu)
     return EbPrediction(ids, *columns)

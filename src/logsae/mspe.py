@@ -30,7 +30,7 @@ import numpy as np
 from . import _arrays, rng
 from .errors import InsufficientAreas, SingularMomentMatrix
 from .estimation import FitConfig, ModelFit
-from .model import _area_named, _dataset
+from .model import _area_named, _check_beta, _dataset
 
 __all__ = ["JackknifeMspe", "BootstrapMspe", "jackknife_mspe", "bootstrap_mspe"]
 
@@ -69,23 +69,12 @@ class BootstrapMspe:
     b_replicates: int
 
 
-def _leave_one_out(arr, dropped, owners=None):
+def _leave_one_out(batch, dropped, owners):
     """A batch of datasets: row r holds every area but area dropped[r] of
-    ``arr``, or, for a batch ``arr``, of its dataset owners[r]."""
-    kept = np.arange(arr.m - 1)
-    idx = kept + (kept >= np.asarray(dropped)[:, None])
-    rows = idx if owners is None else (np.asarray(owners)[:, None], idx)
-
-    def take(x, ndim):  # a field the batch shares has no owners axis
-        return x[rows] if x.ndim == ndim else x[idx]
-
-    return _arrays.AreaArrays(
-        z=take(arr.z, 2),
-        w=take(arr.w, 3),
-        psi=take(arr.psi, 2),
-        sigma=take(arr.sigma, 4),
-        moment=take(arr.moment, 4),
-    )
+    the dataset owners[r] of ``batch``."""
+    kept = np.arange(batch.m - 1)
+    areas = kept + (kept >= np.asarray(dropped)[:, None])
+    return _arrays.select_rows(batch, owners, areas)
 
 
 def leave_one_out_terms(arr, beta, max_iterations, rel_tolerance):
@@ -136,9 +125,9 @@ def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
     if m < p + 2:
         raise InsufficientAreas(f"jackknife needs at least {p + 2} areas, got {m}")
     pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    one = _arrays.AreaArrays(arr.z[None], arr.w[None], arr.psi, arr.sigma, arr.moment)
+    one, beta = _arrays.batch_of_one(arr), np.asarray(beta, dtype=float)
     pred_loo, m1_loo, converged, fit_errors, predict_errors = leave_one_out_terms(
-        one, np.asarray(beta, dtype=float)[None], max_iterations, rel_tolerance
+        one, beta[None], max_iterations, rel_tolerance
     )
     if fit_errors:
         j = min(fit_errors)
@@ -179,7 +168,7 @@ def jackknife_mspe(
     with _area_named(ids):
         m1_j, m2_j, nonconverged = jackknife_core(
             arr,
-            full_fit.params.beta,
+            _check_beta(full_fit.params.beta, arr.p),
             full_fit.params.sigma2_nu,
             cfg.max_iterations,
             cfg.rel_tolerance,
@@ -290,7 +279,7 @@ def bootstrap_mspe(
     with _area_named(ids):
         m1_bc, m2_star, used, capped = bootstrap_core(
             arr,
-            full_fit.params.beta,
+            _check_beta(full_fit.params.beta, arr.p),
             full_fit.params.sigma2_nu,
             b,
             seed,

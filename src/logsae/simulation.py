@@ -361,13 +361,6 @@ def _emse_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
     return (pred_matrix - Y[keep][final][:, None]) ** 2, pred_matrix
 
 
-def _emse_replicate(replicate, config, max_iterations, rel_tolerance):
-    return _one(
-        _emse_chunk, replicate, config=config,
-        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
-    )
-
-
 def run_emse_study(
     config: SimulationConfig,
     fit_config: FitConfig | None = None,
@@ -391,9 +384,9 @@ def run_emse_study(
     summary = {
         "estimators": list(EMSE_ESTIMATORS),
         "emse_avg_raw": emse_avg,
-        "emse_avg_log": {name: math.log(v) for name, v in emse_avg.items()},
+        "emse_avg_log": {name: _log_abs(v) for name, v in emse_avg.items()},
         "mean_prediction_raw": pred_avg,
-        "mean_prediction_log": {name: math.log(v) for name, v in pred_avg.items()},
+        "mean_prediction_log": {name: _log_abs(v) for name, v in pred_avg.items()},
     }
     return SimulationReport(
         study="emse",
@@ -450,13 +443,6 @@ def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
         outputs.append(((pred[b] - Y[b]) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2))
     chunk.drop(errors)
     return [np.stack(output) for output in zip(*outputs)]
-
-
-def _mspe_replicate(replicate, config, max_iterations, rel_tolerance):
-    return _one(
-        _mspe_chunk, replicate, config=config,
-        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
-    )
 
 
 def run_mspe_study(
@@ -542,13 +528,6 @@ def _zeros_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_
     return tuple(truncated.T)
 
 
-def _zeros_replicate(replicate, config, max_iterations, rel_tolerance):
-    return _one(
-        _zeros_chunk, replicate, config=config,
-        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
-    )
-
-
 def zero_proportion_study(
     config: SimulationConfig,
     m_values=DEFAULT_M_GRID,
@@ -606,13 +585,6 @@ def _misspec_chunk(
     )
     beta = fit.beta[:, 0].reshape(len(keep), 2)[keep]
     return tuple(beta.T)
-
-
-def _misspec_replicate(replicate, config, d_mis, max_iterations, rel_tolerance):
-    return _one(
-        _misspec_chunk, replicate, config=config, d_mis=d_mis,
-        max_iterations=max_iterations, rel_tolerance=rel_tolerance,
-    )
 
 
 def misspecification_study(

@@ -54,7 +54,9 @@ def check_against_single_fits(batch, beta_init, failing):
     assert set(fit.errors) == failing
     for k in range(len(batch.z)):
         alone = replicate(batch, k)
-        single = _arrays.fit_batch(alone, MAX_ITERATIONS, TOLERANCE, beta_init)
+        single = _arrays.fit_batch(
+            _arrays.batch_of_one(alone), MAX_ITERATIONS, TOLERANCE, beta_init
+        )
         if k in failing:
             assert str(single.errors[0]) == str(fit.errors[k])
             with pytest.raises(SingularMomentMatrix, match="singular"):
@@ -115,7 +117,7 @@ def test_leave_one_out_batch_equals_looped(seed, m, p, singular):
         w[lone, 0] = 2.0
     arr = _arrays.build(z, w, psi, sigma)
     beta_init = np.full(p, 0.8)
-    batch = mspe._leave_one_out(arr, range(m))
+    batch = mspe._leave_one_out(_arrays.batch_of_one(arr), range(m), np.zeros(m, int))
     fit = check_against_single_fits(batch, beta_init, {lone} if singular else set())
     # row j is the refit on every area but j, bit for bit
     for j in range(m):
@@ -146,7 +148,8 @@ def test_one_warm_start_per_replicate_equals_single_fits(seed, m, p, b):
     starts = gen.normal(1.0, 0.5, size=(b, p))
     fit = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, starts)
     for k in range(b):
-        single = _arrays.fit_batch(replicate(batch, k), MAX_ITERATIONS, TOLERANCE, starts[k])
+        alone = _arrays.batch_of_one(replicate(batch, k))
+        single = _arrays.fit_batch(alone, MAX_ITERATIONS, TOLERANCE, starts[k])
         assert np.array_equal(fit.beta[k], single.beta[0])
         assert fit.sigma2[k] == single.sigma2[0]
         assert tuple(getattr(fit, name)[k] for name in COUNTS) == tuple(

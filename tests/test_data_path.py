@@ -3,6 +3,7 @@ a loaded `Dataset` or a list of areas, and the CLI writes exactly what the
 API returns."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ import pytest
 from conftest import make_areas, random_dataset
 from logsae import (
     InsufficientAreas,
+    ModelParams,
     bootstrap_mspe,
+    eb_predict,
     estimate_sigma2,
     fit,
     jackknife_mspe,
     load_arrays,
     load_dataset,
+    m1_term,
+    posterior_moments,
     predict_areas,
     save_dataset,
+    shrinkage_gamma,
     solve_beta,
 )
 from logsae.cli import main
@@ -76,6 +82,33 @@ def test_a_dataset_without_areas_is_rejected(path, tmp_path):
         for data in (load_arrays(empty), []):
             with pytest.raises(InsufficientAreas, match="^no areas given$"):
                 call(data)
+
+
+# every public function that takes a beta, called on the areas and a fit
+BETA_CALLS = {
+    "shrinkage_gamma": lambda areas, f: shrinkage_gamma(
+        f.params, areas[0].sigma_me, areas[0].psi
+    ),
+    "posterior_moments": lambda areas, f: posterior_moments(areas[0], f.params),
+    "eb_predict": lambda areas, f: eb_predict(areas[0], f.params),
+    "m1_term": lambda areas, f: m1_term(areas[0], f.params),
+    "predict_areas": lambda areas, f: predict_areas(areas, f.params),
+    "solve_beta": lambda areas, f: solve_beta(areas, f.params),
+    "estimate_sigma2": lambda areas, f: estimate_sigma2(areas, f.params.beta),
+    "jackknife_mspe": lambda areas, f: jackknife_mspe(areas, f),
+    "bootstrap_mspe": lambda areas, f: bootstrap_mspe(areas, f, b=B, seed=SEED),
+}
+
+
+@pytest.mark.parametrize("name", list(BETA_CALLS))
+def test_a_beta_whose_length_is_not_p_is_rejected(path, name):
+    # a length-1 beta broadcasts against p=2 covariates unless checked
+    areas = load_dataset(path)
+    short = ModelParams(beta=[2.0], sigma2_nu=1.0)
+    full = dataclasses.replace(fit(areas), params=short)
+    message = r"^beta has shape \(1,\) but the areas have p=2$"
+    with pytest.raises(ValueError, match=message):
+        BETA_CALLS[name](areas, full)
 
 
 def _read_csv(path):

@@ -48,3 +48,22 @@ def test_the_cli_uses_only_public_names_of_the_package():
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names if a.name.split(".")[0] == "logsae"]
     assert [n for n in names if any(map(_is_private, n.split(".")))] == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "logsae._arrays"])
+def test_only_arrays_builds_batches_and_reads_its_private_names(name):
+    # `_arrays` alone knows which fields of a batch are shared, so no other
+    # module assembles `AreaArrays` by hand or reaches a private `_arrays` name
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "_arrays"
+    ]
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    built = [n.lineno for n in reads if n.attr == "AreaArrays" and id(n) in called]
+    assert built == []
+    assert [n.attr for n in reads if _is_private(n.attr)] == []

@@ -165,11 +165,21 @@ class TestEmseStudy:
     def test_eb_estimators_coincide_without_measurement_error(self):
         config = cfg(m=8, k_percent=0.0, r_replications=3)
         for r in range(3):
-            out = sim._emse_replicate(r, config, 200, 1e-10)
+            out = sim._one(sim._emse_chunk, r, config=config, **FIT)
             assert out is not None
             _, pred_matrix = out
             np.testing.assert_array_equal(pred_matrix[1], pred_matrix[2])
             np.testing.assert_array_equal(pred_matrix[2], pred_matrix[3])
+
+    def test_an_exact_estimator_reads_minus_infinity_on_the_log_scale(self):
+        # on the near-degenerate design every completed replicate predicts
+        # Y = 1 exactly, so each area-averaged EMSE is 0
+        report = sim.run_emse_study(cfg(**FAILING_DESIGN, r_replications=40))
+        assert report.r_completed == 22
+        summary = report.summary
+        assert set(summary["emse_avg_raw"].values()) == {0.0}
+        assert set(summary["emse_avg_log"].values()) == {-math.inf}
+        assert set(summary["mean_prediction_log"].values()) == {0.0}
 
     def test_single_replicate_emse_is_squared_error(self):
         config = cfg(m=5, k_percent=0.0, r_replications=1, seed=9)
@@ -262,7 +272,9 @@ class TestMspeStudy:
         sums = np.zeros((3, config.m))
         means = []
         for r in range(config.r_replications):
-            outputs = sim._mspe_replicate(r, config, cap, tol)
+            outputs = sim._one(
+                sim._mspe_chunk, r, config=config, max_iterations=cap, rel_tolerance=tol
+            )
             for total, values in zip(sums, outputs):
                 total += values
             means.append([float(values.mean()) for values in outputs])
@@ -352,11 +364,18 @@ class TestMisspecificationStudy:
             sim.misspecification_study(config, d_mis=4.0)
 
 
+def _exp(x):
+    # exp(x), or the PredictionOverflow exp_batch reports for it
+    out, errors = _arrays.exp_batch(x[None])
+    _arrays.raise_first(errors)
+    return out[0]
+
+
 def _looped_emse(replicate, config, max_iterations, rel_tolerance, beta_init=None):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
-    Y = _arrays.exp_checked(theta)
+    Y = _exp(theta)
     zero = np.zeros_like(sigma)
-    preds = [_arrays.exp_checked(z)]
+    preds = [_exp(z)]
     for covariate, cov in ((W, zero), (w, zero), (w, sigma)):
         arr = _arrays.build(z, covariate, psi, cov)
         beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
@@ -391,7 +410,7 @@ def _looped_misspec(
 
 def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=None):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
-    Y = _arrays.exp_checked(theta)
+    Y = _exp(theta)
     arr = _arrays.build(z, w, psi, sigma)
     beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
     pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
@@ -416,16 +435,14 @@ def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=Non
     return (pred - Y) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2
 
 
-# per study: chunk function, one-replicate view, a reference that fits
-# one dataset at a time through the B=1 kernels, fit rows per replicate
-# (None: m) and the study's own arguments
+# per study: chunk function (`sim._one` runs it on one replicate), a
+# reference that fits one dataset at a time through the B=1 kernels, fit
+# rows per replicate (None: m) and the study's own arguments
 STUDIES = {
-    "emse": (sim._emse_chunk, sim._emse_replicate, _looped_emse, 3, {}),
-    "mspe": (sim._mspe_chunk, sim._mspe_replicate, _looped_mspe, None, {}),
-    "zeros": (sim._zeros_chunk, sim._zeros_replicate, _looped_zeros, 3, {}),
-    "misspec": (
-        sim._misspec_chunk, sim._misspec_replicate, _looped_misspec, 2, {"d_mis": 4.0}
-    ),
+    "emse": (sim._emse_chunk, _looped_emse, 3, {}),
+    "mspe": (sim._mspe_chunk, _looped_mspe, None, {}),
+    "zeros": (sim._zeros_chunk, _looped_zeros, 3, {}),
+    "misspec": (sim._misspec_chunk, _looped_misspec, 2, {"d_mis": 4.0}),
 }
 
 
@@ -445,7 +462,7 @@ FAILING_DESIGN = dict(
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("study", list(STUDIES))
 def test_batched_variants_match_fitting_them_one_at_a_time(study):
-    _, batched, looped, _, kwargs = STUDIES[study]
+    chunk_fn, looped, _, kwargs = STUDIES[study]
     config = cfg(**FAILING_DESIGN, b_bootstrap=6)
     kwargs = dict(kwargs, config=config, max_iterations=200, rel_tolerance=1e-10)
     failed = 0
@@ -455,9 +472,9 @@ def test_batched_variants_match_fitting_them_one_at_a_time(study):
         except NumericalError:
             failed += 1
             with pytest.raises(NumericalError):
-                batched(r, **kwargs)
+                sim._one(chunk_fn, r, **kwargs)
             continue
-        got = batched(r, **kwargs)
+        got = sim._one(chunk_fn, r, **kwargs)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
@@ -481,7 +498,7 @@ FIT = dict(max_iterations=200, rel_tolerance=1e-10)
 def test_chunked_run_equals_the_replicates_one_at_a_time(
     monkeypatch, study, design, cells
 ):
-    chunk_fn, view, _, width, kwargs = STUDIES[study]
+    chunk_fn, _, width, kwargs = STUDIES[study]
     config = {
         "regular": cfg(r_replications=12, b_bootstrap=6),
         "failing": cfg(**FAILING_DESIGN, r_replications=40, b_bootstrap=6),
@@ -497,7 +514,7 @@ def test_chunked_run_equals_the_replicates_one_at_a_time(
     done, expected = [], []
     for r in range(config.r_replications):
         try:
-            expected.append(view(r, config=config, **kwargs, **FIT))
+            expected.append(sim._one(chunk_fn, r, config=config, **kwargs, **FIT))
         except NumericalError:
             continue
         done.append(r)
@@ -511,7 +528,7 @@ def test_chunked_run_equals_the_replicates_one_at_a_time(
 
 @pytest.mark.parametrize("study", list(STUDIES))
 def test_chunks_start_every_cold_fit_at_beta_init(study):
-    chunk_fn, _, looped, _, kwargs = STUDIES[study]
+    chunk_fn, looped, _, kwargs = STUDIES[study]
     config = cfg(r_replications=3, b_bootstrap=6)
     start = np.array([1.7])
     outputs, errors = sim._run_chunk(
