@@ -274,7 +274,7 @@ def _one(fn, replicate, **kwargs):
     return tuple(output[0] for output in outputs)
 
 
-def _by_replicate(errors: dict, width: int) -> dict:
+def _replicate_errors(errors: dict, width: int) -> dict:
     """{replicate: error of its lowest failed row} for a batch of ``width``
     rows per replicate."""
     first = {}
@@ -330,7 +330,7 @@ def _fit_variants(
     z, psi = np.repeat(z, width, axis=0), np.repeat(psi, width, axis=0)
     arr = _arrays.build(z, rows(ws), psi, rows(sigmas))
     fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
-    return arr, fit, chunk.drop(_by_replicate(fit.errors, width))
+    return arr, fit, chunk.drop(_replicate_errors(fit.errors, width))
 
 
 # ---------------------------------------------------------------- accuracy
@@ -355,7 +355,7 @@ def _emse_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
     pred, _, _, errors = _arrays.predict_batch(
         _arrays.select_rows(arr, rows), fit.beta[rows], fit.sigma2[rows]
     )
-    final = chunk.drop(_by_replicate(errors, 3))
+    final = chunk.drop(_replicate_errors(errors, 3))
     pred = pred.reshape(len(final), 3, config.m)[final]
     pred_matrix = np.concatenate([direct[keep][final][:, None], pred], axis=1)
     return (pred_matrix - Y[keep][final][:, None]) ** 2, pred_matrix
@@ -418,7 +418,7 @@ def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_i
         arr, beta, max_iterations, rel_tolerance
     )
     # a replicate with a failed refit has no predictions, so no key repeats
-    errors = _by_replicate(fit_errors, config.m) | _by_replicate(
+    errors = _replicate_errors(fit_errors, config.m) | _replicate_errors(
         predict_errors, config.m
     )
     live = np.flatnonzero(chunk.drop(errors))
