@@ -109,6 +109,13 @@ def _first_flags(bad: np.ndarray):
     return zip(rows.tolist(), np.argmax(bad[rows], axis=1).tolist())
 
 
+def ok_rows(n: int, errors: dict) -> np.ndarray:
+    """The mask of the ``n`` rows that ``errors`` does not name."""
+    ok = np.ones(n, dtype=bool)
+    ok[list(errors)] = False
+    return ok
+
+
 def raise_first(errors: dict) -> None:
     """Raise the error of the lowest failed replicate, if any."""
     if errors:
@@ -255,9 +262,7 @@ class BatchFit:
 
     @property
     def ok(self) -> np.ndarray:
-        ok = np.ones(self.sigma2.size, dtype=bool)
-        ok[list(self.errors)] = False
-        return ok
+        return ok_rows(self.sigma2.size, self.errors)
 
 
 def fit_batch(

@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
         run = {"emse": simulation.run_emse_study, "mspe": simulation.run_mspe_study}
         # several k: one run per k, each written as a single k would be into OUT/k<k>/
         cells = {}
-        for cell in simulation._grid(config, m_values, k_values):
+        for cell in simulation.grid_cells(config, m_values, k_values):
             name, k = f"k{cell.k_percent:g}", cell.k_percent
             first = cells.setdefault(name, cell).k_percent
             if first != k:

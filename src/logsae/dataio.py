@@ -349,12 +349,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_ids(ids: list) -> None:
+    """Raise ValueError naming the first blank or repeated area id: the
+    ids `load_arrays` refuses."""
+    if all(map(str.strip, ids)) and len(set(ids)) == len(ids):
+        return
+    seen = set()
+    for area_id in ids:
+        if not area_id.strip() or area_id in seen:
+            problem = "is repeated" if area_id.strip() else "is blank"
+            raise ValueError(f"area_id {area_id!r} {problem}")
+        seen.add(area_id)
+
+
 def save_dataset(areas, path) -> None:
     """Write areas, a `Dataset` or a list of `AreaObservation`, in the
-    canonical form: z, w_j, psi, full sme triangle."""
+    canonical form: z, w_j, psi, full sme triangle.  A blank or repeated
+    area id is refused before the file is opened, as `load_arrays` would
+    refuse the file."""
     if not (areas.ids if isinstance(areas, Dataset) else areas):
         raise ValueError("no areas to save")
     ids, arr = _dataset(areas)
+    _check_ids(list(map(_fmt, ids)))
     schema = DatasetSchema(p=arr.p, response_column="z", covariate_prefix="w", sme_form="full")
     columns = {"area_id": ids, "z": arr.z}
     columns.update(zip(schema.covariate_columns, arr.w.T))

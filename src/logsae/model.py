@@ -220,6 +220,10 @@ def _dataset(areas) -> Dataset:
     if not isinstance(areas, Dataset):
         areas = list(areas)
         return Dataset([a.area_id for a in areas], _arrays.stack(areas))
+    if len(areas.ids) != areas.arrays.m:
+        raise ValueError(
+            f"Dataset has {len(areas.ids)} area ids for {areas.arrays.m} areas"
+        )
     if not areas.ids:  # as stack raises for an empty list
         raise InsufficientAreas("no areas given")
     return areas

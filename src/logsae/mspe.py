@@ -83,17 +83,19 @@ def leave_one_out_terms(arr, beta, max_iterations, rel_tolerance):
 
     ``arr`` holds the n datasets as `_arrays.fit_batch` takes them, and
     each refit is warm-started at its dataset's row of ``beta`` (n, p).  Row
-    r * m + j is dataset r refit without area j.  Returns (n, m, m)
-    predictions and m1 terms, C-contiguous with area i of dataset r under
-    refit j at [r, i, j]; the refits' converged flags (n * m,); and
-    {row: error} for the refits that failed and for the predictions that
-    failed.  A dataset with a failed refit gets no predictions.
+    r * m + j is dataset r refit without area j; each batch of refits is
+    predicted from as soon as it is fitted.  Returns (n, m, m) predictions
+    and m1 terms, C-contiguous with area i of dataset r under refit j at
+    [r, i, j]; the refits' converged flags (n * m,); and {row: error} for
+    the refits that failed and for the predictions that failed.  A failed
+    refit's predictions mean nothing, so a caller puts its refit errors
+    ahead of its prediction errors.
     """
     n, m = arr.z.shape
     owners, dropped = np.divmod(np.arange(n * m), m)
-    loo_beta, loo_sigma2 = np.empty((n * m, arr.p)), np.empty(n * m)
+    pred, m1 = np.zeros((n, m, m)), np.zeros((n, m, m))
     converged = np.zeros(n * m, dtype=bool)
-    fit_errors = {}
+    fit_errors, predict_errors = {}, {}
     for rows in _arrays.batches(n * m, m):
         fit = _arrays.fit_batch(
             _leave_one_out(arr, dropped[rows], owners[rows]),
@@ -101,22 +103,14 @@ def leave_one_out_terms(arr, beta, max_iterations, rel_tolerance):
             rel_tolerance,
             beta[owners[rows]],
         )
-        loo_beta[rows], loo_sigma2[rows] = fit.beta, fit.sigma2
         converged[rows] = fit.converged
-        fit_errors |= {rows[k]: exc for k, exc in fit.errors.items()}
-    live = np.ones(n, dtype=bool)
-    live[[row // m for row in fit_errors]] = False
-    live = np.repeat(live, m)
-    pred, m1 = np.zeros((n, m, m)), np.zeros((n, m, m))
-    predict_errors = {}
-    for rows in _arrays.batches(n * m, m):
-        rows = np.arange(rows.start, rows.stop)[live[rows]]
         # refit row r * m + j fills column j of dataset r's (m, m) block
         at = owners[rows], slice(None), dropped[rows]
         pred[at], m1[at], _, errors = _arrays.predict_batch(
-            _arrays.select_rows(arr, owners[rows]), loo_beta[rows], loo_sigma2[rows]
+            _arrays.select_rows(arr, owners[rows]), fit.beta, fit.sigma2
         )
-        predict_errors |= {int(rows[k]): exc for k, exc in errors.items()}
+        fit_errors |= {rows[k]: exc for k, exc in fit.errors.items()}
+        predict_errors |= {rows[k]: exc for k, exc in errors.items()}
     return pred, m1, converged, fit_errors, predict_errors
 
 
@@ -236,8 +230,7 @@ def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
         pred_star, m1_star, _, errors = _arrays.predict_batch(
             arr, fit.beta[refit], fit.sigma2[refit]
         )
-        keep = np.ones(len(pred_star), dtype=bool)
-        keep[list(errors)] = False
+        keep = _arrays.ok_rows(len(pred_star), errors)
         # a running sum in replicate order, carried across batches as row 0
         sum_m1 = np.cumsum(np.vstack([sum_m1, m1_star[keep]]), axis=0)[-1]
         sq = (pred_star[keep] - pred_full) ** 2

@@ -18,7 +18,10 @@ bit-reproducible.  The replicates run in the calling process, a chunk at a
 time: one `_arrays.fit_batch` call fits every fit variant of every
 replicate of a chunk, and the MSPE study makes one more for all their
 leave-one-out refits.  Each replicate's results are those it gets on its
-own, bit for bit, and a replicate that fails a check fails alone.
+own, bit for bit.  A replicate that fails a check fails alone: each stage
+runs on the whole chunk and reports {replicate: error}, the refit stages
+skip a replicate that has failed, and the earliest stage's error is the
+one kept.  The chunk drops its failed replicates once, at the end.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "zero_proportion_study",
     "misspecification_study",
     "EMSE_ESTIMATORS",
+    "grid_cells",
 ]
 
 EMSE_ESTIMATORS = ("direct", "eb_true_covariate", "eb_sigma_ignored", "eb_full")
@@ -151,7 +155,8 @@ class SimulationReport:
     """Study output: named column tables plus a scalar summary.
 
     Each table maps column names, in CSV header order, to equal-length
-    columns; the JSON form (`to_json_dict`) lists each table as rows.
+    columns; the JSON form (`to_json_dict`) lists each table as rows, with
+    None (JSON null) for a NaN or infinite value, which JSON cannot hold.
     ``grid`` holds the m and k values of a study run over several (m, k)
     cells; they replace the single values of ``config`` in the JSON form.
     """
@@ -171,7 +176,7 @@ class SimulationReport:
         for name, columns in self.tables.items():
             values = zip(*(np.asarray(v).tolist() for v in columns.values()))
             tables[name] = [dict(zip(columns, row)) for row in values]
-        return {
+        return _finite_or_null({
             "study": self.study,
             "config": config,
             "seed": self.config.seed,
@@ -179,7 +184,19 @@ class SimulationReport:
             "r_failed": self.r_failed,
             "summary": self.summary,
             "tables": tables,
-        }
+        })
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float in it, at any depth, as
+    None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _log_abs(x: float) -> float:
@@ -223,45 +240,33 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, width: int, **kwargs):
     return np.array(done), outputs, cell.r_replications - len(done)
 
 
-class _Chunk:
-    """The replicates of one chunk that are still running, in order, and
-    {position in the chunk: error} for those that failed."""
-
-    def __init__(self, replicates: range):
-        self.replicates = replicates
-        self.alive = np.arange(len(replicates))
-        self.errors = {}
-
-    def drop(self, errors: dict) -> np.ndarray:
-        """Fail the live replicates ``errors`` names, by position among the
-        live ones; return the mask of those that go on."""
-        keep = np.ones(len(self.alive), dtype=bool)
-        for k, exc in errors.items():
-            self.errors[int(self.alive[k])] = exc
-            keep[k] = False
-        self.alive = self.alive[keep]
-        return keep
-
-
 def _run_chunk(fn, replicates: range, config: SimulationConfig, **kwargs):
-    """Draw the replicates' populations and run ``fn(chunk, population,
-    ...)`` on those drawn, each population array stacked on a leading axis.
+    """Draw the replicates' populations, run ``fn(drawn, population, ...)``
+    on those drawn, and keep the outputs of the replicates no stage failed.
 
-    ``fn`` fails replicates through ``chunk.drop`` and returns the outputs
-    of the rest, each stacked along a leading axis in replicate order.
-    Returns those outputs and {position in ``replicates``: error}.
+    ``fn`` gets the drawn replicate numbers and each population array
+    stacked on a leading axis.  It returns its outputs for every replicate
+    it was given, each stacked along a leading axis, and {position among
+    them: error}.  Returns the outputs of the replicates that succeeded,
+    in order, and {position in ``replicates``: error}.
     """
-    chunk, populations, errors = _Chunk(replicates), [], {}
+    drawn, populations, errors = [], [], {}
     for k, replicate in enumerate(replicates):
         try:
             populations.append(_draw_population(config, replicate))
         except NumericalError as exc:
             errors[k] = exc
-    chunk.drop(errors)
+        else:
+            drawn.append(k)
     if not populations:
-        return (), chunk.errors
+        return (), errors
     population = [np.stack(x) for x in zip(*populations)]
-    return fn(chunk, population, config=config, **kwargs), chunk.errors
+    outputs, failed = fn(
+        [replicates[k] for k in drawn], population, config=config, **kwargs
+    )
+    errors |= {drawn[k]: exc for k, exc in failed.items()}
+    ok = _arrays.ok_rows(len(drawn), failed)
+    return [output[ok] for output in outputs], errors
 
 
 def _one(fn, replicate, **kwargs):
@@ -300,8 +305,11 @@ def _run_grid(fn, cells, fit_config, width, reduce, **kwargs):
     return np.array(rows).T, np.array(completed), np.array(failed)
 
 
-def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig]:
-    """The study's (m, k) cells, m-major; a repeated value is a usage error."""
+def grid_cells(
+    config: SimulationConfig, m_values, k_values
+) -> list[SimulationConfig]:
+    """``config`` with each (m, k) of a study grid, m-major.  A repeated
+    m or k is a usage error: `ValueError` naming the value."""
     for name, values in (("m", m_values), ("k", k_values)):
         repeats = [v for i, v in enumerate(values) if v in values[:i]]
         if repeats:
@@ -313,14 +321,12 @@ def _grid(config: SimulationConfig, m_values, k_values) -> list[SimulationConfig
     ]
 
 
-def _fit_variants(
-    chunk, z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init
-):
-    """Fit the live replicates' variants, each with its own covariates and
-    error covariances, as one batch of rows replicate-major; fail each
-    replicate with a failing variant, with the lowest one's error.
+def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init):
+    """Fit every replicate's variants, each with its own covariates and
+    error covariances, as one batch of rows replicate-major.
 
-    Returns the batch, its fit and the mask of the replicates that go on.
+    Returns the batch, its fit and {replicate: error of its lowest failing
+    variant}.
     """
     width = len(ws)
 
@@ -330,35 +336,31 @@ def _fit_variants(
     z, psi = np.repeat(z, width, axis=0), np.repeat(psi, width, axis=0)
     arr = _arrays.build(z, rows(ws), psi, rows(sigmas))
     fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
-    return arr, fit, chunk.drop(_replicate_errors(fit.errors, width))
+    return arr, fit, _replicate_errors(fit.errors, width)
 
 
 # ---------------------------------------------------------------- accuracy
 
 
-def _emse_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+def _emse_chunk(
+    replicates, population, config, max_iterations, rel_tolerance, beta_init
+):
     W, theta, z, w, psi, sigma, _ = population
     Y, y_errors = _arrays.exp_batch(theta)
     direct, direct_errors = _arrays.exp_batch(z)
-    keep = chunk.drop(direct_errors | y_errors)  # Y's error first
-    W, Y, direct, z, w, psi, sigma = (
-        x[keep] for x in (W, Y, direct, z, w, psi, sigma)
-    )
     zero_sigma = np.zeros_like(sigma)
     # the EB variants in EMSE_ESTIMATORS order: true covariate, Sigma
     # ignored, full
-    arr, fit, keep = _fit_variants(
-        chunk, z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma),
+    arr, fit, fit_errors = _fit_variants(
+        z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma),
         max_iterations, rel_tolerance, beta_init,
     )
-    rows = np.repeat(keep, 3)
-    pred, _, _, errors = _arrays.predict_batch(
-        _arrays.select_rows(arr, rows), fit.beta[rows], fit.sigma2[rows]
-    )
-    final = chunk.drop(_replicate_errors(errors, 3))
-    pred = pred.reshape(len(final), 3, config.m)[final]
-    pred_matrix = np.concatenate([direct[keep][final][:, None], pred], axis=1)
-    return (pred_matrix - Y[keep][final][:, None]) ** 2, pred_matrix
+    pred, _, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
+    pred = pred.reshape(len(z), 3, config.m)
+    pred_matrix = np.concatenate([direct[:, None], pred], axis=1)
+    # the earliest stage's error wins, and Y's before the direct estimate's
+    errors = _replicate_errors(errors, 3) | fit_errors | direct_errors | y_errors
+    return ((pred_matrix - Y[:, None]) ** 2, pred_matrix), errors
 
 
 def run_emse_study(
@@ -401,48 +403,46 @@ def run_emse_study(
 # -------------------------------------------------------------- uncertainty
 
 
-def _mspe_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+def _mspe_chunk(
+    replicates, population, config, max_iterations, rel_tolerance, beta_init
+):
     _, theta, z, w, psi, sigma, _ = population
-    Y, errors = _arrays.exp_batch(theta)
-    keep = chunk.drop(errors)
-    Y, arr = Y[keep], _arrays.build(z[keep], w[keep], psi[keep], sigma[keep])
+    Y, y_errors = _arrays.exp_batch(theta)
+    arr = _arrays.build(z, w, psi, sigma)
     fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
-    keep = chunk.drop(fit.errors)
-    Y, beta, sigma2 = Y[keep], fit.beta[keep], fit.sigma2[keep]
-    arr = _arrays.select_rows(arr, keep)
-    pred, m1, _, errors = _arrays.predict_batch(arr, beta, sigma2)
-    keep = chunk.drop(errors)
-    Y, beta, sigma2, pred, m1 = (x[keep] for x in (Y, beta, sigma2, pred, m1))
-    arr = _arrays.select_rows(arr, keep)
+    pred, m1, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
+    errors |= fit.errors | y_errors  # the earliest stage's error wins
+    # the refits run only for the replicates with no error yet
+    live = np.flatnonzero(_arrays.ok_rows(len(z), errors))
     pred_loo, m1_loo, _, fit_errors, predict_errors = leave_one_out_terms(
-        arr, beta, max_iterations, rel_tolerance
+        _arrays.select_rows(arr, live), fit.beta[live], max_iterations, rel_tolerance
     )
-    # a replicate with a failed refit has no predictions, so no key repeats
-    errors = _replicate_errors(fit_errors, config.m) | _replicate_errors(
-        predict_errors, config.m
+    loo_errors = _replicate_errors(predict_errors, config.m) | _replicate_errors(
+        fit_errors, config.m
     )
-    live = np.flatnonzero(chunk.drop(errors))
+    errors |= {int(live[k]): exc for k, exc in loo_errors.items()}
+    jk_total, bt_total = np.zeros_like(pred), np.zeros_like(pred)
     # one bootstrap_core call, a batch of B refits, per replicate: a chunk
     # of bootstraps would hold B refit rows per replicate at once
-    outputs, errors = [], {}
     for k, b in enumerate(live.tolist()):
-        jk_m1, jk_m2 = jackknife_terms(pred[b], m1[b], pred_loo[b], m1_loo[b])
+        if k in loo_errors:
+            continue
         try:
             bt_m1, bt_m2, *_ = bootstrap_core(
                 _arrays.select_rows(arr, b),
-                beta[b],
-                float(sigma2[b]),
+                fit.beta[b],
+                float(fit.sigma2[b]),
                 config.b_bootstrap,
-                rng.derive_seed(config.seed, chunk.replicates[chunk.alive[k]]),
+                rng.derive_seed(config.seed, replicates[b]),
                 max_iterations,
                 rel_tolerance,
             )
         except NumericalError as exc:
-            errors[k] = exc
+            errors[b] = exc
             continue
-        outputs.append(((pred[b] - Y[b]) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2))
-    chunk.drop(errors)
-    return [np.stack(output) for output in zip(*outputs)]
+        jk_m1, jk_m2 = jackknife_terms(pred[b], m1[b], pred_loo[k], m1_loo[k])
+        jk_total[b], bt_total[b] = jk_m1 + jk_m2, bt_m1 + bt_m2
+    return ((pred - Y) ** 2, jk_total, bt_total), errors
 
 
 def run_mspe_study(
@@ -516,16 +516,17 @@ def run_mspe_study(
 # ---------------------------------------------------------- zero proportion
 
 
-def _zeros_chunk(chunk, population, config, max_iterations, rel_tolerance, beta_init):
+def _zeros_chunk(
+    replicates, population, config, max_iterations, rel_tolerance, beta_init
+):
     W, theta, z, w, psi, sigma, _ = population
     zero_sigma = np.zeros_like(sigma)
     # error-aware, Sigma ignored, true covariate
-    _, fit, keep = _fit_variants(
-        chunk, z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma),
+    _, fit, errors = _fit_variants(
+        z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma),
         max_iterations, rel_tolerance, beta_init,
     )
-    truncated = fit.truncated.reshape(len(keep), 3)[keep]
-    return tuple(truncated.T)
+    return tuple(fit.truncated.reshape(len(z), 3).T), errors
 
 
 def zero_proportion_study(
@@ -541,7 +542,7 @@ def zero_proportion_study(
     fit on the exactly observed covariate.  A repeated m or k raises
     `ValueError` before any replicate runs.
     """
-    cells = _grid(config, m_values, k_values)
+    cells = grid_cells(config, m_values, k_values)
     (aware, ignored, true_covariate), completed, failed = _run_grid(
         _zeros_chunk,
         cells,
@@ -574,17 +575,15 @@ def zero_proportion_study(
 
 
 def _misspec_chunk(
-    chunk, population, config, d_mis, max_iterations, rel_tolerance, beta_init
+    replicates, population, config, d_mis, max_iterations, rel_tolerance, beta_init
 ):
     W, theta, z, w, psi, sigma, me_idx = population
     sigma_mis = np.zeros_like(sigma)
     sigma_mis[np.arange(len(z))[:, None], me_idx] = float(d_mis) * np.eye(config.p)
-    _, fit, keep = _fit_variants(
-        chunk, z, psi, (w, w), (sigma, sigma_mis),
-        max_iterations, rel_tolerance, beta_init,
+    _, fit, errors = _fit_variants(
+        z, psi, (w, w), (sigma, sigma_mis), max_iterations, rel_tolerance, beta_init
     )
-    beta = fit.beta[:, 0].reshape(len(keep), 2)[keep]
-    return tuple(beta.T)
+    return tuple(fit.beta[:, 0].reshape(len(z), 2).T), errors
 
 
 def misspecification_study(
@@ -608,7 +607,7 @@ def misspecification_study(
     if k_values is None:
         k_values = [config.k_percent]
     beta_target = config.beta_true[0]
-    cells = _grid(config, [config.m], k_values)
+    cells = grid_cells(config, [config.m], k_values)
     stats, completed, failed = _run_grid(
         _misspec_chunk,
         cells,

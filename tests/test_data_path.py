@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_areas, random_dataset
 from logsae import (
+    Dataset,
     InsufficientAreas,
     ModelParams,
     bootstrap_mspe,
@@ -82,6 +83,31 @@ def test_a_dataset_without_areas_is_rejected(path, tmp_path):
         for data in (load_arrays(empty), []):
             with pytest.raises(InsufficientAreas, match="^no areas given$"):
                 call(data)
+
+
+# every public function that takes a Dataset, called on it, a fit and a path
+DATASET_CALLS = {
+    "fit": lambda data, f, path: fit(data),
+    "predict_areas": lambda data, f, path: predict_areas(data, f.params),
+    "jackknife_mspe": lambda data, f, path: jackknife_mspe(data, f),
+    "bootstrap_mspe": lambda data, f, path: bootstrap_mspe(data, f, b=B, seed=SEED),
+    "solve_beta": lambda data, f, path: solve_beta(data, f.params),
+    "estimate_sigma2": lambda data, f, path: estimate_sigma2(data, f.params.beta),
+    "save_dataset": lambda data, f, path: save_dataset(data, path),
+}
+
+
+@pytest.mark.parametrize("name", list(DATASET_CALLS))
+@pytest.mark.parametrize("n_ids", [2, 13])
+def test_a_dataset_without_one_id_per_area_is_rejected(path, tmp_path, name, n_ids):
+    # too few ids would label 12 results with 2 ids; too many, with 13
+    data = load_arrays(path)
+    ids = (data.ids * 2)[:n_ids]
+    out = tmp_path / "out.csv"
+    message = f"^Dataset has {n_ids} area ids for 12 areas$"
+    with pytest.raises(ValueError, match=message):
+        DATASET_CALLS[name](Dataset(ids, data.arrays), fit(data), out)
+    assert not out.exists()
 
 
 # every public function that takes a beta, called on the areas and a fit

@@ -238,6 +238,25 @@ class TestRoundTrip:
         assert (tmp_path / "from_arrays.csv").read_bytes() == path.read_bytes()
         assert (tmp_path / "from_areas.csv").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["x"] * 5, "^area_id 'x' is repeated$"),
+            (["a", " ", "c"], "^area_id ' ' is blank$"),
+        ],
+        ids=["repeated", "blank"],
+    )
+    def test_ids_the_loader_refuses_write_nothing(self, tmp_path, gen, ids, message):
+        z, w, psi, sigma = random_dataset(gen, m=len(ids), p=1, with_sigma=True)
+        areas = [
+            dataclasses.replace(area, area_id=area_id)
+            for area, area_id in zip(make_areas(z, w, psi, sigma), ids)
+        ]
+        path = tmp_path / "areas.csv"
+        with pytest.raises(ValueError, match=message):
+            save_dataset(areas, path)
+        assert not path.exists()
+
     def test_empty_dataset_writes_nothing(self, tmp_path):
         empty = load_arrays(write(tmp_path, "area_id,z,w_1,psi,sme_diag_1\n"))
         with pytest.raises(ValueError, match="no areas to save"):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -48,6 +49,28 @@ def test_the_cli_uses_only_public_names_of_the_package():
         elif isinstance(node, ast.Import):
             names += [a.name for a in node.names if a.name.split(".")[0] == "logsae"]
     assert [n for n in names if any(map(_is_private, n.split(".")))] == []
+
+
+def test_the_cli_reads_only_public_names_of_the_package_modules():
+    # `from . import simulation` is public; `simulation._grid` is not
+    import logsae.cli
+
+    modules = {
+        name
+        for name, value in vars(logsae.cli).items()
+        if isinstance(value, types.ModuleType) and value.__name__.startswith("logsae")
+    }
+    with open(logsae.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reads = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    assert reads and {"simulation", "dataio"} <= modules
+    assert [n for n in reads if _is_private(n.split(".")[1])] == []
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "logsae._arrays"])

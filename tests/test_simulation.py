@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_areas
-from logsae import _arrays, mspe, rng
+from logsae import _arrays, dataio, mspe, rng
 from logsae import simulation as sim
 from logsae.errors import NumericalError
 from logsae.estimation import FitConfig, fit
@@ -180,6 +180,17 @@ class TestEmseStudy:
         assert set(summary["emse_avg_raw"].values()) == {0.0}
         assert set(summary["emse_avg_log"].values()) == {-math.inf}
         assert set(summary["mean_prediction_log"].values()) == {0.0}
+
+    def test_a_non_finite_summary_is_written_as_null(self, tmp_path):
+        report = sim.run_emse_study(cfg(**FAILING_DESIGN, r_replications=40))
+        path = tmp_path / "report.json"
+        dataio.write_json(report.to_json_dict(), path)
+        with open(path, encoding="utf-8") as fh:
+            back = json.load(fh)
+        summary = back["summary"]
+        assert summary["emse_avg_log"] == dict.fromkeys(sim.EMSE_ESTIMATORS)
+        assert summary["emse_avg_raw"] == dict.fromkeys(sim.EMSE_ESTIMATORS, 0.0)
+        assert back["r_completed"] == 22
 
     def test_single_replicate_emse_is_squared_error(self):
         config = cfg(m=5, k_percent=0.0, r_replications=1, seed=9)
@@ -546,6 +557,48 @@ def test_chunks_start_every_cold_fit_at_beta_init(study):
             assert np.asarray(got[r]).tobytes() == np.asarray(value).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+# every completed replicate predicts exactly, so each relative bias divides by 0
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_refits_run_only_for_replicates_with_no_error(monkeypatch):
+    config = cfg(**FAILING_DESIGN, r_replications=40, b_bootstrap=6)
+    draws = [sim._draw_population(config, r) for r in range(config.r_replications)]
+    replicate_of = {draw[2].tobytes(): r for r, draw in enumerate(draws)}
+    # the replicates each stage should reach, found one at a time
+    fitted, refitted = [], []
+    for r, (W, theta, z, w, psi, sigma, _) in enumerate(draws):
+        arr = _arrays.build(z, w, psi, sigma)
+        try:
+            _exp(theta)
+            beta, sigma2, *_ = _arrays.fit_core(arr, **FIT)
+            _arrays.predictions_and_m1(arr, beta, sigma2)
+        except NumericalError:
+            continue
+        fitted.append(r)
+        try:
+            mspe.jackknife_core(arr, beta, sigma2, **FIT)
+        except NumericalError:
+            continue
+        refitted.append(r)
+    assert 0 < len(refitted) < len(fitted) < config.r_replications
+
+    calls = {"leave_one_out_terms": [], "bootstrap_core": []}
+
+    def counted(name, fn):
+        def wrapper(arr, *args):
+            datasets = arr.z.reshape(-1, config.m)
+            calls[name] += [replicate_of[z.tobytes()] for z in datasets]
+            return fn(arr, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+    sim.run_mspe_study(config)
+    assert calls == {"leave_one_out_terms": fitted, "bootstrap_core": refitted}
+
+
 STUDY_RUNS = {
     "emse": sim.run_emse_study,
     "mspe": sim.run_mspe_study,
@@ -587,7 +640,7 @@ class TestGrid:
             )
 
     def test_cells_are_m_major(self):
-        cells = sim._grid(cfg(m=8), (8, 12), (0.0, 50.0))
+        cells = sim.grid_cells(cfg(m=8), (8, 12), (0.0, 50.0))
         assert [(c.m, c.k_percent) for c in cells] == [
             (8, 0.0), (8, 50.0), (12, 0.0), (12, 50.0)
         ]
