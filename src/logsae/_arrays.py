@@ -1,7 +1,8 @@
 """Stacked-array kernels shared by the fitting, uncertainty and simulation
-code.  Internal: public modules validate `AreaObservation` lists once via
-`stack`, or parse a dataset file straight into `AreaArrays` with
-`dataio.load_arrays`, and then work on plain ndarrays.
+code.  Internal: an input dataset reaches them checked once, by
+`model.Dataset.from_columns`, which `dataio.load_arrays` and the
+`AreaObservation` list path call; the studies `build` their simulated
+arrays directly.  The kernels work on plain ndarrays.
 
 The kernels are batched: each `*_batch` kernel runs B rows along a
 leading axis, B datasets for `fit_batch` and B parameter sets for

@@ -29,9 +29,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import _arrays
 from .errors import NonPositiveValue, ParseError
-from .model import AreaObservation, Dataset, _check_psd, _dataset
+from .model import AreaObservation, Dataset, _dataset, _from_columns
 
 __all__ = [
     "DatasetSchema",
@@ -162,19 +161,19 @@ class DatasetSchema:
         return cls(p=p, response_column=response, covariate_prefix=prefix, sme_form=form)
 
 
-def _cell_error(raw: str, column: str, line: int) -> ParseError:
-    """The error for a cell that does not hold a finite number."""
+def _cell_error(raw: str, column: str, line: int):
+    """The error for a cell that does not hold a finite number, or, in a
+    raw-scale column, a number > 0."""
+    where = f"row at line {line}: column {column!r}"
     if raw.strip() == "":
         return ParseError(f"row at line {line}: missing value in column {column!r}")
     try:
-        float(raw)
+        value = float(raw)
     except ValueError:
-        return ParseError(
-            f"row at line {line}: column {column!r} is not a number: {raw!r}"
-        )
-    return ParseError(
-        f"row at line {line}: column {column!r} must be finite, got {raw!r}"
-    )
+        return ParseError(f"{where} is not a number: {raw!r}")
+    if math.isfinite(value):  # a raw-scale value <= 0
+        return NonPositiveValue(f"{where} must be > 0 to take its log, got {value!r}")
+    return ParseError(f"{where} must be finite, got {raw!r}")
 
 
 def _floats(cells) -> np.ndarray:
@@ -192,25 +191,23 @@ def _floats(cells) -> np.ndarray:
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
-    # math.log per value: np.log differs from it in the last bit on some inputs
-    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
+    # math.log per value: np.log differs from it in the last bit on some
+    # inputs; NaN for a value <= 0, which has no log
+    values = np.where(values > 0.0, values, np.nan).tolist()
+    return np.fromiter(map(math.log, values), dtype=float, count=len(values))
 
 
 def load_arrays(path):
     """Parse a dataset CSV into a `Dataset` ``(ids, arrays)``, in file order.
 
-    ``ids`` is the list of area ids; the arrays hold ``z`` (m,), ``w``
-    (m, p), ``psi`` (m,) and ``sigma`` (m, p, p) on the log scale, with
-    raw-scale values (y, x_j) logged after a strict positivity check;
-    the header fixes the schema.  Every row gets the checks of
-    `load_dataset`, run column by column; the error raised is the one for
-    the first bad line, and within that line for the first failed check
-    in the order: cell count, area_id
-    (missing, then repeated), then each column of the schema (response,
-    covariates, psi, covariance entries) with its range check, and last
-    the covariance's symmetric-PSD test.  A row is named by the line its
-    record starts on.  A file that is not UTF-8 text, or that the csv
-    module cannot read, raises `ParseError`.
+    The header fixes the schema; raw-scale values (y, x_j) are logged.  A
+    row with more cells than header columns is refused, and one with fewer
+    reads its missing cells as empty.  Then `Dataset.from_columns` checks
+    the rows, naming each ``row at line N`` (where its record starts) and
+    its columns as the file does; a cell that is not a number, or not > 0
+    in a raw-scale column, fails its column's finiteness check.  A file
+    that is not UTF-8 text, or that the csv module cannot read, raises
+    `ParseError`.
     """
     start = 1  # the line the next record starts on
     try:
@@ -230,106 +227,57 @@ def load_arrays(path):
     except csv.Error as exc:  # e.g. a cell over the csv module's field limit
         raise ParseError(f"row at line {start}: {exc}") from None
     m, n, p = len(rows), len(header), schema.p
-    checks = []  # (bad rows, error for a row), in the order a row is checked
-
-    def check(bad, error):
-        checks.append((bad, error))
-
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=m)
-    check(
-        lengths > n,
-        lambda i: ParseError(f"row at line {lines[i]}: more cells than header columns"),
-    )
     if (lengths != n).any():  # a missing cell reads as an empty one
         rows = [(row + [""] * (n - len(row)))[:n] for row in rows]
     columns = dict(zip(header, zip(*rows) if m else [()] * n))
-    ids = list(columns["area_id"])
-    missing = np.zeros(m, dtype=bool)
-    if not all(map(str.strip, ids)):
-        missing = np.array([not a.strip() for a in ids])
-    check(
-        missing,
-        lambda i: ParseError(
-            f"row at line {lines[i]}: missing value in column 'area_id'"
-        ),
-    )
-    first_row = {}  # area_id -> row of its first occurrence
-    repeated = np.zeros(m, dtype=bool)
-    if len(set(ids)) < m:
-        for i, area_id in enumerate(ids):
-            repeated[i] = first_row.setdefault(area_id, i) != i
-    check(
-        repeated,
-        lambda i: ParseError(
-            f"row at line {lines[i]}: duplicate area_id {ids[i]!r}, first "
-            f"seen at line {lines[first_row[ids[i]]]}"
-        ),
-    )
 
-    def number(column):
+    def read(column, logged):
         values = _floats(columns[column])
-        check(
-            ~np.isfinite(values),
-            lambda i: _cell_error(columns[column][i], column, lines[i]),
-        )
-        return values
+        return _logs(values) if logged else values
 
-    def positive(column):
-        values = number(column)
-        check(
-            values <= 0.0,
-            lambda i: NonPositiveValue(
-                f"row at line {lines[i]}: column {column!r} must be > 0 to take "
-                f"its log, got {float(values[i])!r}"
-            ),
-        )
-        return values
-
-    read = positive if schema.raw_response else number
-    response = read(schema.response_column)
-    read = positive if schema.raw_covariates else number
-    covariates = [read(column) for column in schema.covariate_columns]
-    psi = number("psi")
-    check(
-        psi < 0.0,
-        lambda i: ParseError(
-            f"row at line {lines[i]}: column 'psi' must be >= 0, "
-            f"got {float(psi[i])!r}"
-        ),
-    )
+    z = read(schema.response_column, schema.raw_response)
+    w = np.empty((m, p))
+    for j, column in enumerate(schema.covariate_columns):
+        w[:, j] = read(column, schema.raw_covariates)
+    psi = _floats(columns["psi"])
     sigma = np.zeros((m, p, p))
     if schema.sme_form == "diag":
         for j, column in enumerate(schema.sme_columns):
-            sigma[:, j, j] = number(column)
+            sigma[:, j, j] = _floats(columns[column])
     else:
         for j in range(p):
             for k in range(j + 1):
-                sigma[:, j, k] = sigma[:, k, j] = number(f"sme_{j + 1}_{k + 1}")
+                values = _floats(columns[f"sme_{j + 1}_{k + 1}"])
+                sigma[:, j, k] = sigma[:, k, j] = values
 
-    # the first failed check of the first bad row; a covariance is checked
-    # last in its row, so only the rows before that one need the PSD test
-    failed = [
-        (int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()
-    ]
-    row, k = min(failed, default=(m, None))
-    _check_psd(sigma[:row], lambda i: f"row at line {lines[i]}: {ids[i]}")
-    if k is not None:
-        raise checks[k][1](row)
+    # the file's name for each column the constructor names otherwise
+    names = {"z": schema.response_column}
+    names.update((f"w_{j}", c) for j, c in enumerate(schema.covariate_columns, 1))
+    if schema.sme_form == "diag":
+        names.update((f"sme_{j}_{j}", c) for j, c in enumerate(schema.sme_columns, 1))
 
-    z = _logs(response) if schema.raw_response else response
-    w = np.empty((m, p))
-    for j, values in enumerate(covariates):
-        w[:, j] = _logs(values) if schema.raw_covariates else values
-    return Dataset(ids, _arrays.build(z, w, psi, sigma))
+    def unreadable(i, column):
+        column = names.get(column, column)
+        return _cell_error(columns[column][i], column, lines[i])
+
+    def where(i):
+        return f"line {lines[i]}"
+
+    # a long row is refused; the rows before it may hold an earlier error
+    long = int(np.argmax(lengths > n)) if (lengths > n).any() else m
+    ids = list(columns["area_id"])[:long]
+    data = _from_columns(
+        ids, z[:long], w[:long], psi[:long], sigma[:long], where, unreadable
+    )
+    if long < m:
+        raise ParseError(f"row at line {lines[long]}: more cells than header columns")
+    return data
 
 
 def load_dataset(path) -> list[AreaObservation]:
-    """Parse a dataset CSV into areas, preserving file order.
-
-    Raw-scale values (y, x_j) are log-transformed after a strict
-    positivity check.  Area ids must be unique.  Errors pinpoint the
-    offending line and column.  This is a view over `load_arrays`.
-    """
+    """Parse a dataset CSV into areas, in file order: the list-of-areas
+    view over `load_arrays`, with its values and errors."""
     ids, arr = load_arrays(path)
     return [
         AreaObservation(area_id=area_id, z=z, w=w, psi=psi, sigma_me=sigma)
@@ -349,28 +297,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_ids(ids: list) -> None:
-    """Raise ValueError naming the first blank or repeated area id: the
-    ids `load_arrays` refuses."""
-    if all(map(str.strip, ids)) and len(set(ids)) == len(ids):
-        return
-    seen = set()
-    for area_id in ids:
-        if not area_id.strip() or area_id in seen:
-            problem = "is repeated" if area_id.strip() else "is blank"
-            raise ValueError(f"area_id {area_id!r} {problem}")
-        seen.add(area_id)
-
-
 def save_dataset(areas, path) -> None:
     """Write areas, a `Dataset` or a list of `AreaObservation`, in the
-    canonical form: z, w_j, psi, full sme triangle.  A blank or repeated
-    area id is refused before the file is opened, as `load_arrays` would
-    refuse the file."""
+    canonical form: z, w_j, psi, full sme triangle.  Before the file is
+    opened, `Dataset.from_columns` refuses what `load_arrays` would refuse
+    to read back, a blank or repeated area id as written among it."""
     if not (areas.ids if isinstance(areas, Dataset) else areas):
         raise ValueError("no areas to save")
     ids, arr = _dataset(areas)
-    _check_ids(list(map(_fmt, ids)))
+    ids = list(map(_fmt, ids))  # as written and read back
+    ids, arr = Dataset.from_columns(ids, arr.z, arr.w, arr.psi, arr.sigma)
     schema = DatasetSchema(p=arr.p, response_column="z", covariate_prefix="w", sme_form="full")
     columns = {"area_id": ids, "z": arr.z}
     columns.update(zip(schema.covariate_columns, arr.w.T))

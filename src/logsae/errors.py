@@ -15,7 +15,8 @@ class DataError(LogsaeError):
 
 
 class ParseError(DataError):
-    """A file could not be parsed into areas; the message pinpoints where."""
+    """Input could not be read as areas, from a file or from columns; the
+    message pinpoints where."""
 
 
 class NonPositiveValue(DataError):

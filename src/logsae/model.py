@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _arrays
-from .errors import InsufficientAreas, NonPsdSigma, NumericalError
+from .errors import InsufficientAreas, NonPsdSigma, NumericalError, ParseError
 
 __all__ = [
     "AreaObservation",
@@ -176,10 +176,24 @@ class PosteriorMoments:
 
 class Dataset(NamedTuple):
     """Area ids in order and their stacked `_arrays.AreaArrays`.  The public
-    API takes one, or a list of `AreaObservation` that it stacks once."""
+    API takes one, or a list of `AreaObservation` that it stacks once;
+    `from_columns` builds one and checks it."""
 
     ids: list
     arrays: _arrays.AreaArrays
+
+    @classmethod
+    def from_columns(cls, ids, z, w, psi, sigma) -> "Dataset":
+        """The checked dataset of m areas: ``ids``, ``z`` (m,), ``w`` (m, p),
+        ``psi`` (m,) and ``sigma`` (m, p, p), on the log scale.
+
+        After the shapes, the first failed check of the first bad row i
+        raises, naming ``row at index i``.  A row's checks run in order: its
+        id (blank, then repeated); ``z``, each ``w_j``, ``psi`` (then ``psi
+        >= 0``) and each lower-triangle ``sme_j_k`` of ``sigma`` finite; and
+        last `_check_psd` (`NonPsdSigma`; the others raise `ParseError`).
+        """
+        return _from_columns(ids, z, w, psi, sigma, "index {}".format)
 
 
 @dataclass(frozen=True)
@@ -215,11 +229,61 @@ def _moments(obs: AreaObservation, params: ModelParams):
     return mean, var, gamma
 
 
+def _from_columns(ids, z, w, psi, sigma, where, unreadable=None) -> Dataset:
+    """`Dataset.from_columns`, naming row i ``row at {where(i)}``; a value
+    not finite in row i of column c raises ``unreadable(i, c)``, if given."""
+    ids = list(ids)
+    z, w, psi, sigma = (np.asarray(c, dtype=float) for c in (z, w, psi, sigma))
+    m, p = len(ids), (w.shape[1] if w.ndim == 2 else 0)
+    if not p:
+        raise ParseError(f"column 'w' has shape {w.shape}, not (m, p) with p >= 1")
+    shapes = {"z": (m,), "w": (m, p), "psi": (m,), "sigma": (m, p, p)}
+    for (name, shape), column in zip(shapes.items(), (z, w, psi, sigma)):
+        if column.shape != shape:
+            raise ParseError(f"column {name!r} has shape {column.shape}, not {shape}")
+
+    blank = np.array([not str(area_id).strip() for area_id in ids], dtype=bool)
+    first = {}  # area id -> row of its first occurrence
+    repeated = np.zeros(m, dtype=bool)
+    if len(set(ids)) < m:
+        repeated = np.array([first.setdefault(a, i) != i for i, a in enumerate(ids)])
+    values = {"z": z, **{f"w_{j + 1}": w[:, j] for j in range(p)}, "psi": psi}
+    for j, k in zip(*np.tril_indices(p)):  # row-major
+        values[f"sme_{j + 1}_{k + 1}"] = sigma[:, j, k]
+    checks = {"blank": blank, "repeated": repeated}  # the rows failing each
+    for column, v in values.items():
+        checks[column] = ~np.isfinite(v)
+        if column == "psi":
+            checks["psi >= 0"] = psi < 0.0
+
+    # the first failed check of the first bad row; a covariance is checked
+    # last in its row, so only the rows before that one need the PSD test
+    failed = [(int(np.argmax(bad)), c) for c, bad in checks.items() if bad.any()]
+    i, check = min(failed, default=(m, None), key=lambda f: f[0])
+    _check_psd(sigma[:i], lambda r: f"row at {where(r)}: {ids[r]}")
+    if check is None:
+        return Dataset(ids, _arrays.build(z, w, psi, sigma))
+    row = f"row at {where(i)}"
+    if check == "blank":
+        raise ParseError(f"{row}: missing value in column 'area_id'")
+    if check == "repeated":
+        seen = where(first[ids[i]])
+        raise ParseError(f"{row}: duplicate area_id {ids[i]!r}, first seen at {seen}")
+    if check == "psi >= 0":
+        raise ParseError(f"{row}: column 'psi' must be >= 0, got {float(psi[i])!r}")
+    if unreadable is not None:
+        raise unreadable(i, check)
+    value = float(values[check][i])
+    raise ParseError(f"{row}: column {check!r} must be finite, got {value!r}")
+
+
 def _dataset(areas) -> Dataset:
-    # a Dataset as given, or a list of AreaObservation stacked once
+    # a Dataset as given, or a list of AreaObservation stacked once and checked
     if not isinstance(areas, Dataset):
         areas = list(areas)
-        return Dataset([a.area_id for a in areas], _arrays.stack(areas))
+        arr = _arrays.stack(areas)
+        ids = [a.area_id for a in areas]
+        return Dataset.from_columns(ids, arr.z, arr.w, arr.psi, arr.sigma)
     if len(areas.ids) != areas.arrays.m:
         raise ValueError(
             f"Dataset has {len(areas.ids)} area ids for {areas.arrays.m} areas"

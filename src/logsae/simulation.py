@@ -453,9 +453,9 @@ def run_mspe_study(
 
     Per area i the study reports EMSE_i (mean squared prediction error
     over replicates), the replicate means of each MSPE estimate, and their
-    relative biases (mean - EMSE_i) / EMSE_i; the summary averages the
-    relative biases over areas.  A per-replicate table of area-averaged
-    values backs distributional plots.
+    relative biases (mean - EMSE_i) / EMSE_i, NaN where EMSE_i is 0; the
+    summary averages the relative biases over areas.  A per-replicate
+    table of area-averaged values backs distributional plots.
     """
     if config.m < config.p + 2:  # the jackknife refits on m - 1 areas
         raise ValueError(f"m must be >= p + 2 = {config.p + 2}, got {config.m}")
@@ -467,8 +467,10 @@ def run_mspe_study(
     jk_mean = _replicate_sum(jk_total) / completed
     bt_mean = _replicate_sum(bt_total) / completed
     bt_neg_share = _replicate_sum(bt_total < 0.0) / completed
-    rb_jk = (jk_mean - emse) / emse
-    rb_bt = (bt_mean - emse) / emse
+    rb_jk, rb_bt = (
+        np.divide(mean - emse, emse, out=np.full(config.m, np.nan), where=emse > 0.0)
+        for mean in (jk_mean, bt_mean)
+    )
     per_area = {
         "area": np.arange(1, config.m + 1),
         "emse": emse,

@@ -10,9 +10,12 @@ import pytest
 
 from conftest import make_areas, random_dataset
 from logsae import (
+    DataError,
     Dataset,
     InsufficientAreas,
     ModelParams,
+    NonPsdSigma,
+    ParseError,
     bootstrap_mspe,
     eb_predict,
     estimate_sigma2,
@@ -108,6 +111,125 @@ def test_a_dataset_without_one_id_per_area_is_rejected(path, tmp_path, name, n_i
     with pytest.raises(ValueError, match=message):
         DATASET_CALLS[name](Dataset(ids, data.arrays), fit(data), out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(DATASET_CALLS))
+@pytest.mark.parametrize(
+    "area_id, message",
+    [
+        (" ", "^row at index 3: missing value in column 'area_id'$"),
+        ("a1", "^row at index 3: duplicate area_id 'a1', first seen at index 1$"),
+    ],
+    ids=["blank", "repeated"],
+)
+def test_a_list_of_areas_with_a_bad_id_is_rejected(
+    path, tmp_path, name, area_id, message
+):
+    # as a file holding these ids is, by the constructor the loader uses
+    areas = load_dataset(path)
+    areas = [dataclasses.replace(a, area_id=f"a{i}") for i, a in enumerate(areas)]
+    full = fit(areas)
+    areas[3] = dataclasses.replace(areas[3], area_id=area_id)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ParseError, match=message):
+        DATASET_CALLS[name](areas, full, out)
+    assert not out.exists()
+
+
+def _columns(p):
+    """Valid columns ids, z, w, psi, sigma of four areas a0..a3."""
+    gen = np.random.default_rng(7)
+    root = gen.normal(0.0, 0.4, size=(4, p, p))
+    sigma = root @ root.transpose(0, 2, 1)
+    ids = [f"a{i}" for i in range(4)]
+    z, w, psi = gen.normal(size=4), gen.normal(size=(4, p)), gen.gamma(2.0, 0.5, 4)
+    return ids, z, w, psi, sigma
+
+
+# case -> (p, column, index, value or None to drop the entry, error class,
+# message start); a value set in sigma at (i, j, k) is set at (i, k, j) too
+BAD_COLUMNS = {
+    "blank id": (
+        2, "ids", 2, " ", ParseError,
+        "row at index 2: missing value in column 'area_id'",
+    ),
+    "repeated id": (
+        2, "ids", 3, "a1", ParseError,
+        "row at index 3: duplicate area_id 'a1', first seen at index 1",
+    ),
+    "z": (
+        2, "z", 1, np.nan, ParseError,
+        "row at index 1: column 'z' must be finite, got nan",
+    ),
+    "w_j": (
+        2, "w", (2, 1), np.inf, ParseError,
+        "row at index 2: column 'w_2' must be finite, got inf",
+    ),
+    "psi": (
+        2, "psi", 0, -np.inf, ParseError,
+        "row at index 0: column 'psi' must be finite, got -inf",
+    ),
+    "sigma": (
+        2, "sigma", (1, 1, 0), np.nan, ParseError,
+        "row at index 1: column 'sme_2_1' must be finite, got nan",
+    ),
+    "negative psi": (
+        2, "psi", 2, -3.0, ParseError,
+        "row at index 2: column 'psi' must be >= 0, got -3.0",
+    ),
+    "negative 1x1 sigma": (
+        1, "sigma", (2, 0, 0), -1.0, NonPsdSigma,
+        "row at index 2: a2: negative variance ",
+    ),
+    "shapes": (
+        2, "psi", 3, None, ParseError,
+        "column 'psi' has shape (3,), not (4,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COLUMNS))
+def test_the_constructor_names_the_first_bad_row_and_its_column(case):
+    p, column, index, value, cls, message = BAD_COLUMNS[case]
+    columns = dict(zip(["ids", "z", "w", "psi", "sigma"], _columns(p)))
+    if value is None:
+        columns[column] = np.delete(columns[column], index, axis=0)
+    elif column == "sigma":
+        i, j, k = index
+        columns[column][i, j, k] = columns[column][i, k, j] = value
+    else:
+        columns[column][index] = value
+    with pytest.raises(DataError) as exc:
+        Dataset.from_columns(*columns.values())
+    assert type(exc.value) is cls
+    assert str(exc.value).startswith(message)
+
+
+def test_a_row_is_named_by_its_first_failed_check():
+    # psi >= 0 is checked before the covariance, and the first bad row decides
+    ids, z, w, psi, sigma = _columns(1)
+    psi[2], sigma[2] = -3.0, -1.0
+    sigma[3] = -1.0  # a later row does not count
+    with pytest.raises(ParseError, match="^row at index 2: column 'psi' must be >= 0"):
+        Dataset.from_columns(ids, z, w, psi, sigma)
+
+
+def test_the_constructor_keeps_valid_columns_as_given(path):
+    data = load_arrays(path)
+    arr = data.arrays
+    built = Dataset.from_columns(data.ids, arr.z, arr.w, arr.psi, arr.sigma)
+    assert built.ids == data.ids
+    for name in ("z", "w", "psi", "sigma", "moment"):
+        assert getattr(built.arrays, name).tobytes() == getattr(arr, name).tobytes()
+    assert _results(built) == _results(data)
+
+
+def test_a_dataset_of_no_areas_is_built_but_not_fitted():
+    # as a header-only file is
+    data = Dataset.from_columns([], [], np.empty((0, 2)), [], np.empty((0, 2, 2)))
+    assert (data.arrays.m, data.arrays.p) == (0, 2)
+    with pytest.raises(InsufficientAreas, match="^no areas given$"):
+        fit(data)
 
 
 # every public function that takes a beta, called on the areas and a fit

@@ -241,8 +241,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "ids, message",
         [
-            (["x"] * 5, "^area_id 'x' is repeated$"),
-            (["a", " ", "c"], "^area_id ' ' is blank$"),
+            (
+                ["x"] * 5,
+                "^row at index 1: duplicate area_id 'x', first seen at index 0$",
+            ),
+            (["a", " ", "c"], "^row at index 1: missing value in column 'area_id'$"),
         ],
         ids=["repeated", "blank"],
     )
@@ -253,7 +256,7 @@ class TestRoundTrip:
             for area, area_id in zip(make_areas(z, w, psi, sigma), ids)
         ]
         path = tmp_path / "areas.csv"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ParseError, match=message):
             save_dataset(areas, path)
         assert not path.exists()
 

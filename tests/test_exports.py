@@ -90,3 +90,16 @@ def test_only_arrays_builds_batches_and_reads_its_private_names(name):
     built = [n.lineno for n in reads if n.attr == "AreaArrays" and id(n) in called]
     assert built == []
     assert [n.attr for n in reads if _is_private(n.attr)] == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "logsae.model"])
+def test_only_model_builds_a_dataset_unchecked(name):
+    # every other module goes through `Dataset.from_columns`, which checks it
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    called = [
+        getattr(node.func, "id", getattr(node.func, "attr", None))  # f() or x.f()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    assert "Dataset" not in called

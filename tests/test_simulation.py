@@ -558,9 +558,6 @@ def test_chunks_start_every_cold_fit_at_beta_init(study):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-# every completed replicate predicts exactly, so each relative bias divides by 0
-@pytest.mark.filterwarnings("ignore:divide by zero encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_refits_run_only_for_replicates_with_no_error(monkeypatch):
     config = cfg(**FAILING_DESIGN, r_replications=40, b_bootstrap=6)
     draws = [sim._draw_population(config, r) for r in range(config.r_replications)]
@@ -597,6 +594,24 @@ def test_refits_run_only_for_replicates_with_no_error(monkeypatch):
         monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
     sim.run_mspe_study(config)
     assert calls == {"leave_one_out_terms": fitted, "bootstrap_core": refitted}
+
+
+def test_an_area_with_a_zero_emse_has_no_relative_bias(tmp_path):
+    # every completed replicate predicts Y exactly, so every EMSE is 0
+    report = sim.run_mspe_study(cfg(**FAILING_DESIGN, r_replications=40, b_bootstrap=6))
+    table = report.tables["per_area"]
+    assert not table["emse"].any()
+    for name in ("rb_jackknife", "rb_bootstrap"):
+        assert np.isnan(table[name]).all()
+        assert math.isnan(report.summary[f"{name}_avg"])
+        assert math.isnan(report.summary[f"{name}_avg_log_abs_pct"])
+        assert report.summary[f"{name}_avg_negative"] is False
+    path = tmp_path / "report.json"
+    dataio.write_json(report.to_json_dict(), path)
+    with open(path, encoding="utf-8") as fh:
+        summary = json.load(fh)["summary"]
+    assert summary["rb_jackknife_avg"] is None
+    assert summary["rb_bootstrap_avg"] is None
 
 
 STUDY_RUNS = {
