@@ -164,16 +164,16 @@ class DatasetSchema:
 def _cell_error(raw: str, column: str, line: int):
     """The error for a cell that does not hold a finite number, or, in a
     raw-scale column, a number > 0."""
-    where = f"row at line {line}: column {column!r}"
+    cell = f"row at line {line}: column {column!r}"
     if raw.strip() == "":
         return ParseError(f"row at line {line}: missing value in column {column!r}")
     try:
         value = float(raw)
     except ValueError:
-        return ParseError(f"{where} is not a number: {raw!r}")
+        return ParseError(f"{cell} is not a number: {raw!r}")
     if math.isfinite(value):  # a raw-scale value <= 0
-        return NonPositiveValue(f"{where} must be > 0 to take its log, got {value!r}")
-    return ParseError(f"{where} must be finite, got {raw!r}")
+        return NonPositiveValue(f"{cell} must be > 0 to take its log, got {value!r}")
+    return ParseError(f"{cell} must be finite, got {raw!r}")
 
 
 def _floats(cells) -> np.ndarray:
