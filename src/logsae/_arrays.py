@@ -1,8 +1,13 @@
 """Stacked-array kernels shared by the fitting, uncertainty and simulation
 code.  Internal: an input dataset reaches them checked once, by
 `model.Dataset.from_columns`, which `dataio.load_arrays` and the
-`AreaObservation` list path call; the studies `build` their simulated
-arrays directly.  The kernels work on plain ndarrays.
+`AreaObservation` list path call; the studies build their simulated
+`AreaArrays` directly.  The kernels work on plain ndarrays.
+
+An `AreaArrays` has one shape rule: a dataset of m areas has fields z
+(m,), w (m, p), psi (m,) and sigma (m, p, p), and a batch of B datasets
+has the replicate axis leading on all four.  A batch whose datasets share
+psi and sigma passes them as `np.broadcast_to` views.
 
 The kernels are batched: each `*_batch` kernel runs B rows along a
 leading axis, B datasets for `fit_batch` and B parameter sets for
@@ -41,14 +46,13 @@ _BATCH_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class AreaArrays:
-    """Stacked areas.  For a batch of B datasets, any field may carry a
-    leading batch axis; a field without one is shared by the batch."""
+    """Stacked areas: one dataset, or a batch of B datasets with the
+    replicate axis leading on every field."""
 
     z: np.ndarray  # (m,) or (B, m)
     w: np.ndarray  # (m, p) or (B, m, p)
     psi: np.ndarray  # (m,) or (B, m)
     sigma: np.ndarray  # (m, p, p) or (B, m, p, p)
-    moment: np.ndarray  # w w' - sigma, cached for the solver
 
     @property
     def m(self) -> int:
@@ -57,11 +61,6 @@ class AreaArrays:
     @property
     def p(self) -> int:
         return self.w.shape[-1]
-
-
-def build(z, w, psi, sigma) -> AreaArrays:
-    moment = w[..., :, None] * w[..., None, :] - sigma
-    return AreaArrays(z=z, w=w, psi=psi, sigma=sigma, moment=moment)
 
 
 def stack(areas) -> AreaArrays:
@@ -78,7 +77,7 @@ def stack(areas) -> AreaArrays:
     w = np.array([a.w for a in areas], dtype=float)
     psi = np.array([a.psi for a in areas], dtype=float)
     sigma = np.array([a.sigma_me for a in areas], dtype=float)
-    return build(z, w, psi, sigma)
+    return AreaArrays(z, w, psi, sigma)
 
 
 def drop_area(arr: AreaArrays, j: int) -> AreaArrays:
@@ -88,7 +87,6 @@ def drop_area(arr: AreaArrays, j: int) -> AreaArrays:
         w=np.delete(arr.w, j, axis=0),
         psi=np.delete(arr.psi, j, axis=0),
         sigma=np.delete(arr.sigma, j, axis=0),
-        moment=np.delete(arr.moment, j, axis=0),
     )
 
 
@@ -139,44 +137,46 @@ def _matvec(w: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def batch_of_one(arr: AreaArrays) -> AreaArrays:
-    """One dataset as a batch of one: z and w gain the replicate axis, and
-    the other fields are shared."""
-    return AreaArrays(arr.z[None], arr.w[None], arr.psi, arr.sigma, arr.moment)
+    """One dataset as a batch of one: every field gains the replicate
+    axis."""
+    return AreaArrays(arr.z[None], arr.w[None], arr.psi[None], arr.sigma[None])
 
 
 def select_rows(batch: AreaArrays, sel, areas=None) -> AreaArrays:
-    """The replicates ``sel`` of a batch whose z and w are batched; with
-    ``areas``, row r keeps only the areas ``areas[r]`` of replicate
-    ``sel[r]``.  A field without a replicate axis is shared by the batch:
-    it stays shared, or with ``areas`` each row takes its own areas of it."""
+    """The replicates ``sel`` of a batch, indexed on every field alike (an
+    integer ``sel`` gives one dataset); with ``areas``, row r keeps only
+    the areas ``areas[r]`` of replicate ``sel[r]``."""
     rows = sel if areas is None else (np.asarray(sel)[:, None], areas)
-
-    def take(x, ndim):
-        if x.ndim == ndim:
-            return x[rows]
-        return x if areas is None else x[areas]
-
-    return AreaArrays(
-        z=take(batch.z, 2),
-        w=take(batch.w, 3),
-        psi=take(batch.psi, 2),
-        sigma=take(batch.sigma, 4),
-        moment=take(batch.moment, 4),
-    )
+    return AreaArrays(batch.z[rows], batch.w[rows], batch.psi[rows], batch.sigma[rows])
 
 
-def _solve(batch: AreaArrays, weights: np.ndarray):
-    """Weighted moment solves: beta (B, p) and {replicate: error}."""
-    subscripts = "bi,bipq->bpq" if batch.moment.ndim == 4 else "bi,ipq->bpq"
-    a = np.einsum(subscripts, weights, batch.moment)
-    rhs = np.matmul(batch.w.transpose(0, 2, 1), (weights * batch.z)[:, :, None])
+def _moment(batch: AreaArrays) -> np.ndarray:
+    """The matrices w_i w_i' - sigma_i of the moment equation, per area."""
+    with np.errstate(over="ignore"):  # `_solve` reports a non-finite system
+        return batch.w[..., :, None] * batch.w[..., None, :] - batch.sigma
+
+
+def _solve(batch: AreaArrays, moment: np.ndarray, weights: np.ndarray):
+    """Weighted moment solves of a batch whose `_moment` is ``moment``:
+    beta (B, p) and {replicate: error}."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        a = np.einsum("bi,bipq->bpq", weights, moment)
+        rhs = np.matmul(batch.w.transpose(0, 2, 1), (weights * batch.z)[:, :, None])
     rhs = rhs[:, :, 0]
     errors = {}
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
         a[~finite], rhs[~finite] = np.eye(batch.p), 0.0
+        # name the first area whose own term is not finite; when only the
+        # sum overflows, no area is at fault
+        with np.errstate(over="ignore"):
+            wz = batch.w * batch.z[:, :, None]
+        own = np.isfinite(moment).all(axis=(2, 3)) & np.isfinite(wz).all(axis=2)
+        first = dict(_first_flags(~own))
         for b in np.flatnonzero(~finite).tolist():
-            errors[b] = SingularMomentMatrix("moment system has non-finite entries")
+            errors[b] = SingularMomentMatrix(
+                "moment system has non-finite entries", index=first.get(b)
+            )
     if batch.p == 1:
         # a nonzero 1x1 system has condition number 1; dividing gives
         # np.linalg.solve's bits without a LAPACK call per matrix
@@ -241,7 +241,8 @@ def sigma2_batch(batch: AreaArrays, beta: np.ndarray):
 
 
 def weighted_solve(arr: AreaArrays, weights: np.ndarray) -> np.ndarray:
-    beta, errors = _solve(batch_of_one(arr), weights[None])
+    one = batch_of_one(arr)
+    beta, errors = _solve(one, _moment(one), weights[None])
     raise_first(errors)
     return beta[0]
 
@@ -271,8 +272,9 @@ def fit_batch(
 ) -> BatchFit:
     """`fit_core` on B datasets at once.
 
-    ``batch`` holds the B datasets: ``z`` (B, m) and ``w`` (B, m, p), and
-    ``psi``, ``sigma`` and ``moment`` either per replicate or shared.
+    ``batch`` holds the B datasets, with the replicate axis on every
+    field: ``z`` (B, m), ``w`` (B, m, p), ``psi`` (B, m) and ``sigma``
+    (B, m, p, p).
     ``beta_init``, if given, is one start (p,) for every replicate or one
     per replicate (B, p).  Each replicate takes the steps that `fit_core`
     takes on it alone and stops at its own convergence or at
@@ -283,8 +285,9 @@ def fit_batch(
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to fit, got {m}")
     n = len(batch.z)
+    moment = _moment(batch)
     if beta_init is None:
-        beta, errors = _solve(batch, np.ones((n, m)))
+        beta, errors = _solve(batch, moment, np.ones((n, m)))
     else:
         beta = np.asarray(beta_init, dtype=float)
         if beta.shape == (p,):
@@ -307,13 +310,13 @@ def fit_batch(
             out_beta[done], out_sigma2[done] = beta[leaving], sigma2[leaving]
             out_truncated[done], iterations[done] = truncated[leaving], iteration
             stay = ~leaving
-            rows, batch = rows[stay], select_rows(batch, stay)
+            rows, batch, moment = rows[stay], select_rows(batch, stay), moment[stay]
             beta, sigma2, truncated = beta[stay], sigma2[stay], truncated[stay]
         if not rows.size or iteration == max_iterations:
             break
         iteration += 1
         weights, weight_errors = weights_batch(batch, beta, sigma2)
-        beta_new, solve_errors = _solve(batch, weights)
+        beta_new, solve_errors = _solve(batch, moment, weights)
         sigma2_new, truncated = sigma2_batch(batch, beta_new)
         step = (np.abs(beta_new - beta) / (1.0 + np.abs(beta_new))).max(axis=1)
         step_sigma2 = np.abs(sigma2_new - sigma2) / (1.0 + np.abs(sigma2_new))

@@ -81,9 +81,9 @@ def _check_psd(sig: np.ndarray, context) -> None:
     elif not symmetric[i]:
         problem = "covariance is not symmetric"
     elif sig.shape[-1] == 1:
-        problem = f"negative variance {sig[i, 0, 0]!r}"
+        problem = f"negative variance {float(sig[i, 0, 0])!r}"
     else:
-        problem = f"covariance has negative eigenvalue {eigvals[i, 0]!r}"
+        problem = f"covariance has negative eigenvalue {float(eigvals[i, 0])!r}"
     raise NonPsdSigma(f"{context(i)}: {problem}")
 
 
@@ -218,7 +218,7 @@ def _check_beta(beta, p: int) -> np.ndarray:
 
 def _moments(obs: AreaObservation, params: ModelParams):
     # conditional (mean, variance, gamma) of one area, as (1, 1) arrays
-    arr = _arrays.build(
+    arr = _arrays.AreaArrays(
         np.array([obs.z]), obs.w[None, :], np.array([obs.psi]), obs.sigma_me[None]
     )
     beta = _check_beta(params.beta, obs.p)
@@ -262,7 +262,7 @@ def _from_columns(ids, z, w, psi, sigma, where, unreadable=None) -> Dataset:
     i, check = min(failed, default=(m, None), key=lambda f: f[0])
     _check_psd(sigma[:i], lambda r: f"row at {where(r)}: {ids[r]}")
     if check is None:
-        return Dataset(ids, _arrays.build(z, w, psi, sigma))
+        return Dataset(ids, _arrays.AreaArrays(z, w, psi, sigma))
     row = f"row at {where(i)}"
     if check == "blank":
         raise ParseError(f"{row}: missing value in column 'area_id'")

@@ -186,7 +186,8 @@ def _psd_factors(sigma: np.ndarray) -> np.ndarray:
 
 
 def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
-    """Synthetic datasets for the given replicates, stacked on a leading axis.
+    """Synthetic datasets for the given replicates, stacked on a leading
+    axis; they share the observed psi and sigma as broadcast views.
 
     Replicate r draws from stream (seed, BOOTSTRAP, r), per area in fixed
     row order: covariate noise (p draws), area effect, sampling error.
@@ -199,7 +200,9 @@ def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
     nu_star = math.sqrt(sigma2) * std[..., p]
     e_star = np.sqrt(arr.psi) * std[..., p + 1]
     z_star = np.matmul(w_star, beta) + nu_star + e_star
-    return _arrays.build(z_star, w_star, arr.psi, arr.sigma)
+    psi = np.broadcast_to(arr.psi, z_star.shape)
+    sigma = np.broadcast_to(arr.sigma, (*z_star.shape, p, p))
+    return _arrays.AreaArrays(z_star, w_star, psi, sigma)
 
 
 def check_bootstrap_args(b, seed) -> None:

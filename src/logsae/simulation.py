@@ -228,10 +228,10 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, width: int, **kwargs):
     done, results = [], []
     for replicates in _arrays.batches(cell.r_replications, width * cell.m):
         outputs, errors = _run_chunk(fn, replicates, **kwargs)
-        succeeded = [r for k, r in enumerate(replicates) if k not in errors]
-        if succeeded:
-            done += succeeded
-            results.append(outputs)
+        ok = _arrays.ok_rows(len(replicates), errors)
+        if ok.any():
+            done += [r for r, keep in zip(replicates, ok) if keep]
+            results.append([output[ok] for output in outputs])
     if not done:
         raise NumericalError(
             f"every replicate failed at m={cell.m}, k={cell.k_percent:g}"
@@ -241,32 +241,16 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, width: int, **kwargs):
 
 
 def _run_chunk(fn, replicates: range, config: SimulationConfig, **kwargs):
-    """Draw the replicates' populations, run ``fn(drawn, population, ...)``
-    on those drawn, and keep the outputs of the replicates no stage failed.
+    """Draw the replicates' populations and run ``fn(replicates,
+    population, ...)``, each population array stacked on a leading axis.
 
-    ``fn`` gets the drawn replicate numbers and each population array
-    stacked on a leading axis.  It returns its outputs for every replicate
-    it was given, each stacked along a leading axis, and {position among
-    them: error}.  Returns the outputs of the replicates that succeeded,
-    in order, and {position in ``replicates``: error}.
+    ``fn`` returns its outputs for every replicate, each stacked along a
+    leading axis, and {position in ``replicates``: error} for those that
+    failed; a failed replicate's outputs mean nothing.
     """
-    drawn, populations, errors = [], [], {}
-    for k, replicate in enumerate(replicates):
-        try:
-            populations.append(_draw_population(config, replicate))
-        except NumericalError as exc:
-            errors[k] = exc
-        else:
-            drawn.append(k)
-    if not populations:
-        return (), errors
+    populations = [_draw_population(config, r) for r in replicates]
     population = [np.stack(x) for x in zip(*populations)]
-    outputs, failed = fn(
-        [replicates[k] for k in drawn], population, config=config, **kwargs
-    )
-    errors |= {drawn[k]: exc for k, exc in failed.items()}
-    ok = _arrays.ok_rows(len(drawn), failed)
-    return [output[ok] for output in outputs], errors
+    return fn(replicates, population, config=config, **kwargs)
 
 
 def _one(fn, replicate, **kwargs):
@@ -334,7 +318,7 @@ def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init):
         return np.stack(variants, axis=1).reshape(-1, *variants[0].shape[1:])
 
     z, psi = np.repeat(z, width, axis=0), np.repeat(psi, width, axis=0)
-    arr = _arrays.build(z, rows(ws), psi, rows(sigmas))
+    arr = _arrays.AreaArrays(z, rows(ws), psi, rows(sigmas))
     fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
     return arr, fit, _replicate_errors(fit.errors, width)
 
@@ -408,7 +392,7 @@ def _mspe_chunk(
 ):
     _, theta, z, w, psi, sigma, _ = population
     Y, y_errors = _arrays.exp_batch(theta)
-    arr = _arrays.build(z, w, psi, sigma)
+    arr = _arrays.AreaArrays(z, w, psi, sigma)
     fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
     pred, m1, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
     errors |= fit.errors | y_errors  # the earliest stage's error wins

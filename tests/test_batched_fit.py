@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logsae import _arrays, mspe
@@ -35,18 +35,14 @@ def draw(gen, shape, p):
     return z, w
 
 
+def copies(x, b):
+    # one array for each of b replicates, as copies
+    return np.repeat(x[None], b, axis=0)
+
+
 def replicate(batch, k):
     # replicate k of a batch as a dataset of its own
-    def take(x, ndim):
-        return x[k] if x.ndim == ndim else x
-
-    return _arrays.AreaArrays(
-        z=batch.z[k],
-        w=batch.w[k],
-        psi=take(batch.psi, 2),
-        sigma=take(batch.sigma, 4),
-        moment=take(batch.moment, 4),
-    )
+    return _arrays.AreaArrays(batch.z[k], batch.w[k], batch.psi[k], batch.sigma[k])
 
 
 def check_against_single_fits(batch, beta_init, failing):
@@ -87,10 +83,11 @@ def test_batched_equals_looped(seed, m, p, b, warm, singular):
     m = max(m, p + 2)
     psi, sigma = shared_areas(gen, m, p)
     z, w = draw(gen, (b, m), p)
-    batch = _arrays.build(z, w, psi, sigma)
+    batch = _arrays.AreaArrays(z, w, copies(psi, b), copies(sigma, b))
     failing = {singular} if 0 <= singular < b else set()
     for k in failing:
-        batch.moment[k] = 0.0  # that replicate's moment system is singular
+        # that replicate's moment system is singular
+        batch.w[k], batch.sigma[k] = 0.0, 0.0
     beta_init = gen.normal(1.0, 0.5, size=p) if warm else None
     check_against_single_fits(batch, beta_init, failing)
 
@@ -115,7 +112,7 @@ def test_leave_one_out_batch_equals_looped(seed, m, p, singular):
         sigma = np.zeros((m, 1, 1))
         w = np.zeros((m, 1))
         w[lone, 0] = 2.0
-    arr = _arrays.build(z, w, psi, sigma)
+    arr = _arrays.AreaArrays(z, w, psi, sigma)
     beta_init = np.full(p, 0.8)
     batch = mspe._leave_one_out(_arrays.batch_of_one(arr), range(m), np.zeros(m, int))
     fit = check_against_single_fits(batch, beta_init, {lone} if singular else set())
@@ -124,7 +121,7 @@ def test_leave_one_out_batch_equals_looped(seed, m, p, singular):
         if singular and j == lone:
             continue
         kept = np.arange(m) != j
-        reduced = _arrays.build(z[kept], w[kept], psi[kept], sigma[kept])
+        reduced = _arrays.AreaArrays(z[kept], w[kept], psi[kept], sigma[kept])
         beta, sigma2, iterations, *_ = _arrays.fit_core(
             reduced, MAX_ITERATIONS, TOLERANCE, beta_init
         )
@@ -144,7 +141,7 @@ def test_one_warm_start_per_replicate_equals_single_fits(seed, m, p, b):
     m = max(m, p + 2)
     psi, sigma = shared_areas(gen, m, p)
     z, w = draw(gen, (b, m), p)
-    batch = _arrays.build(z, w, psi, sigma)
+    batch = _arrays.AreaArrays(z, w, copies(psi, b), copies(sigma, b))
     starts = gen.normal(1.0, 0.5, size=(b, p))
     fit = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, starts)
     for k in range(b):
@@ -162,7 +159,7 @@ def test_warm_start_of_another_shape_is_rejected(shape):
     gen = np.random.default_rng(0)
     psi, sigma = shared_areas(gen, 6, 1)
     z, w = draw(gen, (2, 6), 1)
-    batch = _arrays.build(z, w, psi, sigma)
+    batch = _arrays.AreaArrays(z, w, copies(psi, 2), copies(sigma, 2))
     with pytest.raises(ValueError, match=r"^beta_init must have shape \(1,\) or \(2, 1\)$"):
         _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, np.ones(shape))
 
@@ -186,13 +183,12 @@ def test_one_by_one_solve_is_lapack_bit_for_bit(systems):
     batch = _arrays.AreaArrays(
         z=rhs[:, None],
         w=np.ones((n, 1, 1)),
-        psi=np.zeros(1),
+        psi=np.zeros((n, 1)),
         sigma=np.zeros((n, 1, 1, 1)),
-        moment=a[:, None, None, None],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # dividing must not warn on overflow
-        beta, errors = _arrays._solve(batch, np.ones((n, 1)))
+        beta, errors = _arrays._solve(batch, a[:, None, None, None], np.ones((n, 1)))
     s = np.linalg.svd(a[:, None, None], compute_uv=False)[:, 0]
     singular = s == 0.0  # the condition number of a 1x1 system is 1 otherwise
     assert sorted(errors) == np.flatnonzero(singular).tolist()
@@ -202,3 +198,48 @@ def test_one_by_one_solve_is_lapack_bit_for_bit(systems):
     expected = np.linalg.solve(a[ok, None, None], rhs[ok, None, None] + 0.0)[:, :, 0]
     assert beta.shape == (n, 1)
     assert beta[ok].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(4, 14),
+    p=st.integers(1, 3),
+    b=st.integers(2, 6),
+    warm=st.booleans(),
+)
+def test_broadcast_psi_and_sigma_fit_as_copies_and_alone(seed, m, p, b, warm):
+    # a bootstrap batch shares psi and sigma as broadcast views, which
+    # `select_rows` copies as its rows leave
+    gen = np.random.default_rng(seed)
+    m = max(m, p + 2)
+    psi, sigma = shared_areas(gen, m, p)
+    z, w = draw(gen, (m,), p)
+    beta = gen.normal(1.0, 0.5, size=p)
+    starred = mspe._draw_starred(
+        _arrays.AreaArrays(z, w, psi, sigma),
+        mspe._psd_factors(sigma),
+        beta,
+        0.5,
+        seed,
+        range(b),
+    )
+    assert starred.psi.strides[0] == 0 and starred.sigma.strides[0] == 0
+    beta_init = beta if warm else None
+    fit = _arrays.fit_batch(starred, MAX_ITERATIONS, TOLERANCE, beta_init)
+    assume(len(set(fit.iterations.tolist())) > 1)  # rows leave at different steps
+    fields = ("beta", "sigma2", *COUNTS)
+    batch = _arrays.AreaArrays(starred.z, starred.w, copies(psi, b), copies(sigma, b))
+    copied = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, beta_init)
+    assert set(copied.errors) == set(fit.errors)
+    for name in fields:
+        assert getattr(copied, name).tobytes() == getattr(fit, name).tobytes()
+    for k in range(b):
+        alone = _arrays.batch_of_one(replicate(starred, k))
+        single = _arrays.fit_batch(alone, MAX_ITERATIONS, TOLERANCE, beta_init)
+        if k in fit.errors:
+            assert str(single.errors[0]) == str(fit.errors[k])
+            continue
+        assert not single.errors
+        for name in fields:
+            assert getattr(single, name)[0].tobytes() == getattr(fit, name)[k].tobytes()

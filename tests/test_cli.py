@@ -581,6 +581,54 @@ def test_weight_denominator_underflow_names_area_and_exits_four(tmp_path, capsys
     assert caught == []
 
 
+@pytest.mark.parametrize("command", [["fit"], ["mspe", "--method", "jackknife"]])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # area b's own w w' overflows
+        (
+            "a,1,1,1,0\nb,2,1e308,1,0\nc,1.5,1.5,1,0\nd,0.5,0.7,1,0\n",
+            "b: moment system has non-finite entries",
+        ),
+        # every area's terms are finite, but their sum overflows
+        (
+            "a,1,1e154,1,0\nb,2,1e154,1,0\nc,1.5,1.5,1,0\nd,0.5,0.7,1,0\n",
+            "moment system has non-finite entries",
+        ),
+    ],
+    ids=["area", "sum"],
+)
+def test_overflowing_moment_system_exits_four(tmp_path, capsys, command, rows, message):
+    data = _write(tmp_path, "huge.csv", rows)
+    code = main([command[0], str(data), *command[1:], "--out", str(tmp_path)])
+    assert code == 4
+    expected = {"error": "SingularMomentMatrix", "message": message}
+    assert capsys.readouterr().err == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (
+            "area_id,z,w_1,psi,sme_diag_1\na,1,1,1,0\nb,2,2,1,-1\n",
+            "negative variance -1.0",
+        ),
+        (
+            "area_id,z,w_1,w_2,psi,sme_1_1,sme_2_1,sme_2_2\n"
+            "a,1,1,1,1,0,0,0\nb,2,2,1,1,1,2,1\n",
+            "covariance has negative eigenvalue -1.0",
+        ),
+    ],
+    ids=["p1", "p2"],
+)
+def test_non_psd_covariance_message_shows_the_value(tmp_path, capsys, text, problem):
+    data = tmp_path / "psd.csv"
+    data.write_text(text)
+    assert main(["fit", str(data), "--out", str(tmp_path)]) == 3
+    expected = {"error": "NonPsdSigma", "message": f"row at line 3: b: {problem}"}
+    assert capsys.readouterr().err == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_mspe_overflow_names_area_and_exits_four(tmp_path, capsys):
     data = _write(
         tmp_path,

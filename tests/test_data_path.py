@@ -219,7 +219,7 @@ def test_the_constructor_keeps_valid_columns_as_given(path):
     arr = data.arrays
     built = Dataset.from_columns(data.ids, arr.z, arr.w, arr.psi, arr.sigma)
     assert built.ids == data.ids
-    for name in ("z", "w", "psi", "sigma", "moment"):
+    for name in ("z", "w", "psi", "sigma"):
         assert getattr(built.arrays, name).tobytes() == getattr(arr, name).tobytes()
     assert _results(built) == _results(data)
 

@@ -73,10 +73,16 @@ def test_the_cli_reads_only_public_names_of_the_package_modules():
     assert [n for n in reads if _is_private(n.split(".")[1])] == []
 
 
+# the modules whose arrays are their own: `model` builds a checked
+# dataset, and `mspe` and `simulation` build the batches they draw
+ARRAY_BUILDERS = ("logsae.model", "logsae.mspe", "logsae.simulation")
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "logsae._arrays"])
 def test_only_arrays_builds_batches_and_reads_its_private_names(name):
-    # `_arrays` alone knows which fields of a batch are shared, so no other
-    # module assembles `AreaArrays` by hand or reaches a private `_arrays` name
+    # an `AreaArrays` is four arrays with one shape rule, so only the
+    # modules that make the arrays build one; no module outside `_arrays`
+    # reaches a private `_arrays` name
     with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     reads = [
@@ -88,7 +94,7 @@ def test_only_arrays_builds_batches_and_reads_its_private_names(name):
     ]
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     built = [n.lineno for n in reads if n.attr == "AreaArrays" and id(n) in called]
-    assert built == []
+    assert bool(built) == (name in ARRAY_BUILDERS)
     assert [n.attr for n in reads if _is_private(n.attr)] == []
 
 

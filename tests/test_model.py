@@ -84,10 +84,10 @@ def _psd_problem(sig):
     if not np.allclose(sig, sig.T, rtol=1e-8, atol=1e-12):
         return "covariance is not symmetric"
     if sig.shape[0] == 1:
-        return f"negative variance {sig[0, 0]!r}" if sig[0, 0] < 0.0 else None
+        return f"negative variance {float(sig[0, 0])!r}" if sig[0, 0] < 0.0 else None
     eigvals = np.linalg.eigvalsh(sig)
     if eigvals[0] < -1e-12 * max(1.0, float(eigvals[-1])):
-        return f"covariance has negative eigenvalue {eigvals[0]!r}"
+        return f"covariance has negative eigenvalue {float(eigvals[0])!r}"
     return None
 
 
