@@ -167,11 +167,12 @@ def _solve(batch: AreaArrays, moment: np.ndarray, weights: np.ndarray):
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
         a[~finite], rhs[~finite] = np.eye(batch.p), 0.0
-        # name the first area whose own term is not finite; when only the
-        # sum overflows, no area is at fault
-        with np.errstate(over="ignore"):
-            wz = batch.w * batch.z[:, :, None]
-        own = np.isfinite(moment).all(axis=(2, 3)) & np.isfinite(wz).all(axis=2)
+        # name the first area whose own weighted term is not finite; when
+        # only the sum overflows, no area is at fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_terms = weights[:, :, None, None] * moment
+            rhs_terms = batch.w * (weights * batch.z)[:, :, None]
+        own = np.isfinite(a_terms).all(axis=(2, 3)) & np.isfinite(rhs_terms).all(axis=2)
         first = dict(_first_flags(~own))
         for b in np.flatnonzero(~finite).tolist():
             errors[b] = SingularMomentMatrix(
@@ -234,7 +235,8 @@ def weights_batch(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
 def sigma2_batch(batch: AreaArrays, beta: np.ndarray):
     """Variance moments for betas (B, p): truncated values and flags."""
     resid = batch.z - _matvec(batch.w, beta)
-    dot = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore"):  # an inf moment fails the next weights
+        dot = np.matmul(resid[:, None, :], resid[:, :, None])[:, 0, 0]
     raw = dot / batch.m - batch.psi.sum(axis=-1) / batch.m  # as psi.mean()
     truncated = raw < 0.0
     return np.where(truncated, 0.0, raw), truncated
@@ -319,7 +321,8 @@ def fit_batch(
         beta_new, solve_errors = _solve(batch, moment, weights)
         sigma2_new, truncated = sigma2_batch(batch, beta_new)
         step = (np.abs(beta_new - beta) / (1.0 + np.abs(beta_new))).max(axis=1)
-        step_sigma2 = np.abs(sigma2_new - sigma2) / (1.0 + np.abs(sigma2_new))
+        with np.errstate(invalid="ignore"):  # inf - inf; such a row has failed
+            step_sigma2 = np.abs(sigma2_new - sigma2) / (1.0 + np.abs(sigma2_new))
         step = np.where(step_sigma2 > step, step_sigma2, step)
         beta, sigma2 = beta_new, sigma2_new
         leaving = step < rel_tolerance

@@ -18,6 +18,7 @@ with 17-significant-digit floats, which `load_dataset` reproduces exactly.
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import hashlib
@@ -197,6 +198,9 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values), dtype=float, count=len(values))
 
 
+_LOAD_BLOCK_ROWS = 4096  # rows turned into float columns at a time
+
+
 def load_arrays(path):
     """Parse a dataset CSV into a `Dataset` ``(ids, arrays)``, in file order.
 
@@ -208,6 +212,11 @@ def load_arrays(path):
     in a raw-scale column, fails its column's finiteness check.  A file
     that is not UTF-8 text, or that the csv module cannot read, raises
     `ParseError`.
+
+    The file is read to its end before any row is checked.  Rows become
+    floats ``_LOAD_BLOCK_ROWS`` at a time, and between blocks only the
+    ids, each row's start line, the floats and the text of each column's
+    first non-finite cell are kept.
     """
     start = 1  # the line the next record starts on
     try:
@@ -215,63 +224,76 @@ def load_arrays(path):
             reader = csv.reader(fh)
             header = next(reader, None)
             schema = DatasetSchema.from_fieldnames(header)
-            rows, lines = [], []
+            n, p, diag = len(header), schema.p, schema.sme_form == "diag"
+            # the value columns in the constructor's order: z, w_j, psi, sme_j_k
+            columns = [schema.response_column, *schema.covariate_columns, "psi"]
+            columns += schema.sme_columns
+            logged = [schema.raw_response, *[schema.raw_covariates] * p]
+            logged += [False] * (len(columns) - len(logged))
+            id_at, at = header.index("area_id"), list(map(header.index, columns))
+            ids, lines, blocks = [], array.array("q"), []
+            texts = {}  # column -> {row: text} of its first non-finite cell
+
+            def add(rows):
+                if any(len(row) < n for row in rows):  # a missing cell reads as empty
+                    rows = [row + [""] * (n - len(row)) for row in rows]
+                cells = list(zip(*rows))
+                first = len(ids)
+                ids.extend(cells[id_at])
+                block = np.empty((len(rows), len(columns)))
+                for j, (c, log) in enumerate(zip(at, logged)):
+                    parsed = _floats(cells[c])
+                    block[:, j] = _logs(parsed) if log else parsed
+                bad = ~np.isfinite(block)
+                for j in np.flatnonzero(bad.any(axis=0)).tolist():
+                    if columns[j] not in texts:  # the constructor names only the first
+                        r = int(np.argmax(bad[:, j]))
+                        texts[columns[j]] = {first + r: cells[at[j]][r]}
+                blocks.append(block)
+
+            long = None  # the start line of the first row with too many cells
+            rows = []
             start = reader.line_num + 1
             for row in reader:
-                if row:  # blank lines are skipped
-                    rows.append(row)
-                    lines.append(start)
+                if row and long is None:  # blank lines are skipped
+                    if len(row) > n:  # it and the rows after it are read, not kept
+                        long = start
+                    else:
+                        rows.append(row)
+                        lines.append(start)
+                        if len(rows) == _LOAD_BLOCK_ROWS:
+                            add(rows)
+                            rows = []
                 start = reader.line_num + 1
+            if rows:
+                add(rows)
     except UnicodeDecodeError:  # its byte offset counts from the decoder's chunk
         raise ParseError(f"dataset {str(path)!r} is not UTF-8 text") from None
     except csv.Error as exc:  # e.g. a cell over the csv module's field limit
         raise ParseError(f"row at line {start}: {exc}") from None
-    m, n, p = len(rows), len(header), schema.p
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=m)
-    if (lengths != n).any():  # a missing cell reads as an empty one
-        rows = [(row + [""] * (n - len(row)))[:n] for row in rows]
-    columns = dict(zip(header, zip(*rows) if m else [()] * n))
 
-    def read(column, logged):
-        values = _floats(columns[column])
-        return _logs(values) if logged else values
+    values = np.concatenate(blocks or [np.empty((0, len(columns)))])
+    blocks.clear()
+    z, w, psi = values[:, 0].copy(), values[:, 1 : p + 1].copy(), values[:, p + 1].copy()
+    sigma = np.zeros((len(ids), p, p))
+    j, k = np.diag_indices(p) if diag else np.tril_indices(p)
+    sigma[:, j, k] = sigma[:, k, j] = values[:, p + 2 :]
+    del values  # before the constructor's checks, which set the peak
 
-    z = read(schema.response_column, schema.raw_response)
-    w = np.empty((m, p))
-    for j, column in enumerate(schema.covariate_columns):
-        w[:, j] = read(column, schema.raw_covariates)
-    psi = _floats(columns["psi"])
-    sigma = np.zeros((m, p, p))
-    if schema.sme_form == "diag":
-        for j, column in enumerate(schema.sme_columns):
-            sigma[:, j, j] = _floats(columns[column])
-    else:
-        for j in range(p):
-            for k in range(j + 1):
-                values = _floats(columns[f"sme_{j + 1}_{k + 1}"])
-                sigma[:, j, k] = sigma[:, k, j] = values
-
-    # the file's name for each column the constructor names otherwise
-    names = {"z": schema.response_column}
-    names.update((f"w_{j}", c) for j, c in enumerate(schema.covariate_columns, 1))
-    if schema.sme_form == "diag":
-        names.update((f"sme_{j}_{j}", c) for j, c in enumerate(schema.sme_columns, 1))
+    # the file's name for each column the constructor names
+    sme = [f"sme_{j}_{j}" for j in range(1, p + 1)] if diag else schema.sme_columns
+    names = dict(zip(["z", *(f"w_{j}" for j in range(1, p + 1)), "psi", *sme], columns))
 
     def unreadable(i, column):
-        column = names.get(column, column)
-        return _cell_error(columns[column][i], column, lines[i])
+        column = names[column]
+        return _cell_error(texts[column][i], column, lines[i])
 
     def where(i):
         return f"line {lines[i]}"
 
-    # a long row is refused; the rows before it may hold an earlier error
-    long = int(np.argmax(lengths > n)) if (lengths > n).any() else m
-    ids = list(columns["area_id"])[:long]
-    data = _from_columns(
-        ids, z[:long], w[:long], psi[:long], sigma[:long], where, unreadable
-    )
-    if long < m:
-        raise ParseError(f"row at line {lines[long]}: more cells than header columns")
+    data = _from_columns(ids, z, w, psi, sigma, where, unreadable)
+    if long is not None:  # the rows before it may hold an earlier error
+        raise ParseError(f"row at line {long}: more cells than header columns")
     return data
 
 

@@ -171,17 +171,19 @@ def jackknife_mspe(
 
 
 def _psd_factors(sigma: np.ndarray) -> np.ndarray:
-    """Per-area factor L with L L' = sigma_me, tolerating singular PSD."""
+    """Per-area factor L with L L' = sigma_me, tolerating singular PSD.
+    One stacked Cholesky call gives each matrix the bits of its own call."""
     out = np.zeros_like(sigma)
-    for i in range(sigma.shape[0]):
-        s = sigma[i]
-        if not s.any():
-            continue
-        try:
-            out[i] = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(s)
-            out[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    nonzero = np.flatnonzero(sigma.any(axis=(1, 2)))
+    try:
+        out[nonzero] = np.linalg.cholesky(sigma[nonzero])
+    except np.linalg.LinAlgError:  # a singular matrix: factor each alone
+        for i in nonzero.tolist():
+            try:
+                out[i] = np.linalg.cholesky(sigma[i])
+            except np.linalg.LinAlgError:
+                vals, vecs = np.linalg.eigh(sigma[i])
+                out[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return out
 
 

@@ -595,8 +595,15 @@ def test_weight_denominator_underflow_names_area_and_exits_four(tmp_path, capsys
             "a,1,1e154,1,0\nb,2,1e154,1,0\nc,1.5,1.5,1,0\nd,0.5,0.7,1,0\n",
             "moment system has non-finite entries",
         ),
+        # an exact fit truncates sigma2 at 0, so each weight is 1e300 and
+        # area a's weighted w w' overflows
+        (
+            "a,1e5,1e5,1e-300,0\nb,2e5,2e5,1e-300,0\n"
+            "c,3e5,3e5,1e-300,0\nd,4e5,4e5,1e-300,0\n",
+            "a: moment system has non-finite entries",
+        ),
     ],
-    ids=["area", "sum"],
+    ids=["area", "sum", "weight"],
 )
 def test_overflowing_moment_system_exits_four(tmp_path, capsys, command, rows, message):
     data = _write(tmp_path, "huge.csv", rows)
@@ -604,6 +611,20 @@ def test_overflowing_moment_system_exits_four(tmp_path, capsys, command, rows, m
     assert code == 4
     expected = {"error": "SingularMomentMatrix", "message": message}
     assert capsys.readouterr().err == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_overflowing_squared_residual_exits_four_without_warnings(tmp_path, capsys):
+    # area a's direct estimate squares to inf, so the variance moment is inf
+    rows = "a,1e200,1,1,0\nb,2,2,1,0\nc,1.5,1.5,1,0\nd,0.5,0.7,1,0\n"
+    data = _write(tmp_path, "square.csv", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", str(data), "--out", str(tmp_path)])
+    assert code == 4
+    message = "a: area weight denominator inf must be positive and finite"
+    expected = {"error": "SingularMomentMatrix", "message": message}
+    assert capsys.readouterr().err == json.dumps(expected, sort_keys=True) + "\n"
+    assert caught == []
 
 
 @pytest.mark.parametrize(

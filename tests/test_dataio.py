@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_areas, random_dataset
+from logsae import dataio
 from logsae.dataio import (
     DatasetSchema,
     RunManifest,
@@ -513,6 +515,94 @@ def test_first_defect_by_line_then_check_order_is_reported(
     message = str(exc.value)
     assert message.startswith(f"row at line {lines[row]}: ")
     assert fragment in message
+
+
+def test_valid_file_loads_bit_for_bit_in_blocks_of_two(monkeypatch):
+    monkeypatch.setattr(dataio, "_LOAD_BLOCK_ROWS", 2)
+    test_valid_file_loads_bit_for_bit()
+
+
+def test_first_defect_is_reported_in_blocks_of_two(monkeypatch):
+    monkeypatch.setattr(dataio, "_LOAD_BLOCK_ROWS", 2)
+    test_first_defect_by_line_then_check_order_is_reported()
+
+
+class TestBlockBoundaries:
+    """Files of a few rows, read two rows at a time."""
+
+    HEADER = "area_id,y,x_1,psi,sme_diag_1\n"
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_two(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_LOAD_BLOCK_ROWS", 2)
+
+    def load(self, tmp_path, text):
+        return load_arrays(write(tmp_path, self.HEADER + text))
+
+    def refused(self, tmp_path, text, cls=ParseError):
+        with pytest.raises(cls) as exc:
+            self.load(tmp_path, text)
+        return str(exc.value)
+
+    def test_multi_line_id_ends_a_block(self, tmp_path):
+        text = 'a,1,1,1,0\n"b\nb",2,2,1,0\nc,3,x,1,0\n'
+        message = self.refused(tmp_path, text)
+        assert message == "row at line 5: column 'x_1' is not a number: 'x'"
+        ids, arr = self.load(tmp_path, text.replace(",x,", ",3,"))
+        assert ids == ["a", "b\nb", "c"]
+        assert arr.w[:, 0].tolist() == [0.0, math.log(2.0), math.log(3.0)]
+
+    def test_blank_lines_between_blocks(self, tmp_path):
+        text = "a,1,1,1,0\nb,2,2,1,0\n\n\nc,3,3,1,0\nd,4,4,1,0\n\ne,5,5,-1,0\n"
+        message = self.refused(tmp_path, text)
+        assert message == "row at line 9: column 'psi' must be >= 0, got -1.0"
+
+    @pytest.mark.parametrize("short", [1, 2])
+    def test_short_row_at_a_block_edge(self, tmp_path, short):
+        rows = ["a,1,1,1,0", "b,2,2,1,0", "c,3,3,1,0"]
+        rows[short] = rows[short][: -len(",1,0")]
+        message = self.refused(tmp_path, "\n".join(rows) + "\n")
+        assert message == f"row at line {short + 2}: missing value in column 'psi'"
+
+    def test_first_bad_cell_of_a_later_block(self, tmp_path):
+        # x_1 is unreadable on lines 4 and 6, y is not > 0 on line 5
+        text = "a,1,1,1,0\nb,2,2,1,0\nc,3,nan,1,0\nd,0,4,1,0\ne,5,abc,1,0\n"
+        message = self.refused(tmp_path, text)
+        assert message == "row at line 4: column 'x_1' must be finite, got 'nan'"
+        message = self.refused(tmp_path, text.replace("nan", "3"), NonPositiveValue)
+        assert message == "row at line 5: column 'y' must be > 0 to take its log, got 0.0"
+
+    def test_long_row_in_a_later_block(self, tmp_path):
+        text = "a,1,1,1,0\nb,2,2,1,0\nc,3,3,1,0\nd,4,4,1,0,9\ne,x,5,1,0\n"
+        message = self.refused(tmp_path, text)
+        assert message == "row at line 5: more cells than header columns"
+        message = self.refused(tmp_path, text.replace("c,3,3", "c,3,-3"), NonPositiveValue)
+        assert message.startswith("row at line 4: column 'x_1' must be > 0")
+
+    def test_long_row_then_an_unreadable_record(self, tmp_path):
+        text = "a,1,1,1,0\nb,2,2,1,0,9\nc,3,3,1,0\nd,4,4,1,0\n"
+        huge = "e," + "1" * 200_000 + ",1,1,0\n"
+        message = self.refused(tmp_path, text + huge)
+        assert message == "row at line 6: field larger than field limit (131072)"
+        path = tmp_path / "latin.csv"
+        path.write_bytes((self.HEADER + text + "f,5,5,1,0\n").encode() + b"\xff,6,6,1,0\n")
+        with pytest.raises(ParseError, match="is not UTF-8 text$"):
+            load_arrays(path)
+
+
+def test_load_peak_memory_is_a_few_times_what_it_keeps(tmp_path, gen):
+    # the transient cell text of one block, not of the whole file
+    z, w, psi, sigma = random_dataset(gen, m=20_000, p=2)
+    path = tmp_path / "areas.csv"
+    save_dataset(make_areas(z, w, psi, sigma), path)
+    tracemalloc.start()
+    try:
+        data = load_arrays(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data.ids) == 20_000
+    assert peak <= 4 * retained
 
 
 class TestWriteCsv:

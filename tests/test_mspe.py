@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_areas, random_dataset
@@ -256,6 +258,45 @@ class TestBootstrap:
         for i, (rb, r2b) in enumerate(zip(bt_b.m2_star, bt_2b.m2_star)):
             se = per_rep[:, i].std(ddof=1) / math.sqrt(b)
             assert abs(r2b - rb) < 3.0 * se
+
+
+def _looped_factors(sigma):
+    # a Cholesky call per nonzero matrix, eigh where it has no factor
+    out = np.zeros_like(sigma)
+    for i in range(len(sigma)):
+        if sigma[i].any():
+            try:
+                out[i] = np.linalg.cholesky(sigma[i])
+            except np.linalg.LinAlgError:
+                vals, vecs = np.linalg.eigh(sigma[i])
+                out[i] = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    kinds=st.lists(
+        st.sampled_from(["zero", "definite", "low_rank", "zero_variance"]), max_size=10
+    ),
+)
+def test_psd_factors_equal_a_call_per_matrix(seed, p, kinds):
+    gen = np.random.default_rng(seed)
+    sigma = np.zeros((len(kinds), p, p))
+    for i, kind in enumerate(kinds):
+        if kind == "definite":
+            root = gen.normal(0.0, 0.5, size=(p, p))
+            sigma[i] = root @ root.T + 0.01 * np.eye(p)
+        elif kind == "low_rank":  # PSD of rank p - 1
+            root = gen.normal(0.0, 0.5, size=(p, p - 1))
+            sigma[i] = root @ root.T
+        elif kind == "zero_variance":  # diagonal, one variance zero
+            variances = gen.gamma(2.0, 0.5, size=p)
+            variances[gen.integers(p)] = 0.0
+            sigma[i] = np.diag(variances)
+    got = mspe._psd_factors(sigma)
+    assert got.tobytes() == _looped_factors(sigma).tobytes()
 
 
 class TestBootstrapReduction:
