@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mspe.add_argument("--seed", type=int, default=1, help="bootstrap seed")
     p_mspe.add_argument(
         "--workers", type=int, default=None,
-        help="validated and recorded only: the refits run as one in-process batch",
+        help="validated and recorded only: every refit runs in this process",
     )
     p_mspe.set_defaults(func=cmd_mspe)
 

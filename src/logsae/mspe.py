@@ -17,6 +17,10 @@ synthetic datasets from the fitted model, refits each, and combines
 where the starred prediction and variance terms use the starred parameters
 on the original data.  Bootstrap totals can come out negative; they are
 flagged, never clipped.
+
+Both run `_refit_sums`, which refits a chunk at a time and adds each
+refit's per-area terms to (n, m) sums in refit or replicate order, so the
+chunking never changes a bit and the jackknife holds no (m, m) array.
 """
 
 from __future__ import annotations
@@ -77,51 +81,62 @@ def _leave_one_out(batch, dropped, owners):
     return _arrays.select_rows(batch, owners, areas)
 
 
-def leave_one_out_terms(arr, beta, max_iterations, rel_tolerance):
-    """The m leave-one-out refits of each of n datasets, and each refit's
-    predictions and m1 terms on its own dataset's areas.
+def _refit_sums(batch, owners, draw, beta, terms, max_iterations, rel_tolerance):
+    """Refit row r, drawn from dataset owners[r] of ``batch`` (n datasets),
+    warm-started at its owner's row of ``beta`` (n, p), and add the two
+    per-area ``terms(owners, pred, m1)`` of its predictions on its owner's
+    areas to (2, n, m) sums.  ``draw(rows)`` gives a chunk's datasets.
+    Every row with no error is added in row order, so the chunking cannot
+    change a bit.  Also returns how many of those rows stopped at the
+    iteration cap, and {row: error} for the failed refits and for the
+    failed predictions of the rest.
+    """
+    n, m = batch.z.shape
+    sums = np.zeros((2, n * m))
+    capped, fit_errors, predict_errors = 0, {}, {}
+    for rows in _arrays.batches(len(owners), m):
+        own = owners[rows]
+        fit = _arrays.fit_batch(draw(rows), max_iterations, rel_tolerance, beta[own])
+        refit = np.flatnonzero(fit.ok)
+        pred, m1, _, errors = _arrays.predict_batch(
+            _arrays.select_rows(batch, own[refit]), fit.beta[refit], fit.sigma2[refit]
+        )
+        keep = _arrays.ok_rows(len(refit), errors)
+        capped += int(np.count_nonzero(~fit.converged[refit][keep]))
+        own = own[refit][keep]
+        cells = (own[:, None] * m + np.arange(m)).ravel()  # row-major: row order
+        for total, term in zip(sums, terms(own, pred[keep], m1[keep])):
+            np.add.at(total, cells, term.ravel())
+        fit_errors |= {rows[k]: exc for k, exc in fit.errors.items()}
+        predict_errors |= {rows[refit[k]]: exc for k, exc in errors.items()}
+    return sums.reshape(2, n, m), capped, fit_errors, predict_errors
 
-    ``arr`` holds the n datasets as `_arrays.fit_batch` takes them, and
-    each refit is warm-started at its dataset's row of ``beta`` (n, p).  Row
-    r * m + j is dataset r refit without area j; each batch of refits is
-    predicted from as soon as it is fitted.  Returns (n, m, m) predictions
-    and m1 terms, C-contiguous with area i of dataset r under refit j at
-    [r, i, j]; the refits' converged flags (n * m,); and {row: error} for
-    the refits that failed and for the predictions that failed.  A failed
-    refit's predictions mean nothing, so a caller puts its refit errors
-    ahead of its prediction errors.
+
+def leave_one_out_terms(arr, beta, pred, m1, max_iterations, rel_tolerance):
+    """`_refit_sums` of the n datasets ``arr``, fitted at ``beta`` (n, p)
+    to ``pred`` and ``m1`` (n, m): row r * m + j drops area j of dataset r,
+    and the sums are sum_j (m1_i - m1_i(-j)) and sum_j (pred_i - pred_i(-j))^2.
     """
     n, m = arr.z.shape
     owners, dropped = np.divmod(np.arange(n * m), m)
-    pred, m1 = np.zeros((n, m, m)), np.zeros((n, m, m))
-    converged = np.zeros(n * m, dtype=bool)
-    fit_errors, predict_errors = {}, {}
-    for rows in _arrays.batches(n * m, m):
-        fit = _arrays.fit_batch(
-            _leave_one_out(arr, dropped[rows], owners[rows]),
-            max_iterations,
-            rel_tolerance,
-            beta[owners[rows]],
-        )
-        converged[rows] = fit.converged
-        # refit row r * m + j fills column j of dataset r's (m, m) block
-        at = owners[rows], slice(None), dropped[rows]
-        pred[at], m1[at], _, errors = _arrays.predict_batch(
-            _arrays.select_rows(arr, owners[rows]), fit.beta, fit.sigma2
-        )
-        fit_errors |= {rows[k]: exc for k, exc in fit.errors.items()}
-        predict_errors |= {rows[k]: exc for k, exc in errors.items()}
-    return pred, m1, converged, fit_errors, predict_errors
+
+    def draw(rows):
+        return _leave_one_out(arr, dropped[rows], owners[rows])
+
+    def terms(own, pred_loo, m1_loo):
+        return m1[own] - m1_loo, (pred[own] - pred_loo) ** 2
+
+    return _refit_sums(arr, owners, draw, beta, terms, max_iterations, rel_tolerance)
 
 
 def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
     m, p = arr.m, arr.p
     if m < p + 2:
         raise InsufficientAreas(f"jackknife needs at least {p + 2} areas, got {m}")
-    pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     one, beta = _arrays.batch_of_one(arr), np.asarray(beta, dtype=float)
-    pred_loo, m1_loo, converged, fit_errors, predict_errors = leave_one_out_terms(
-        one, beta[None], max_iterations, rel_tolerance
+    sums, capped, fit_errors, predict_errors = leave_one_out_terms(
+        one, beta[None], pred[None], m1[None], max_iterations, rel_tolerance
     )
     if fit_errors:
         j = min(fit_errors)
@@ -130,20 +145,26 @@ def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
             f"leave-one-out refit dropping this area failed: {exc}", index=j
         ) from exc
     _arrays.raise_first(predict_errors)
-    m1_corrected, m2 = jackknife_terms(pred_full, m1_full, pred_loo[0], m1_loo[0])
-    return m1_corrected, m2, int(np.count_nonzero(~converged))
+    m1_corrected, m2 = jackknife_terms(m1, *sums[:, 0])
+    return m1_corrected, m2, capped
 
 
-def jackknife_terms(pred_full, m1_full, pred_loo, m1_loo):
-    """Bias-corrected m1 and m2 of one dataset from its predictions and m1
-    terms, (m,), and their leave-one-out values, (m, m): area i's value
-    refit without area j at [i, j].  The (m, m) arrays are C-contiguous,
-    so that each area's sum runs in one fixed order."""
-    m = len(pred_full)
-    factor = (m - 1.0) / m
-    m1_corrected = m1_full - factor * np.sum(m1_full[:, None] - m1_loo, axis=1)
-    m2 = factor * np.sum((pred_full[:, None] - pred_loo) ** 2, axis=1)
-    return m1_corrected, m2
+def jackknife_terms(m1, sum_m1, sum_sq):
+    """Bias-corrected m1 and m2 from the m1 terms and the two sums of
+    `leave_one_out_terms`, all (..., m)."""
+    factor = (m1.shape[-1] - 1.0) / m1.shape[-1]
+    return m1 - factor * sum_m1, factor * sum_sq
+
+
+def _resample(core, areas, full_fit, config, *args):
+    """The ids of ``areas`` and the result of a resampler's ``core`` on them
+    at the parameters of ``full_fit``, with any area in an error named."""
+    ids, arr = _dataset(areas)
+    cfg = config if config is not None else FitConfig()
+    beta = _check_beta(full_fit.params.beta, arr.p)
+    fit_args = cfg.max_iterations, cfg.rel_tolerance
+    with _area_named(ids):
+        return ids, core(arr, beta, full_fit.params.sigma2_nu, *args, *fit_args)
 
 
 def jackknife_mspe(
@@ -153,20 +174,12 @@ def jackknife_mspe(
 ) -> JackknifeMspe:
     """Leave-one-out MSPE estimates, in input order.
 
-    Each refit is warm-started at the full-data parameters; all m refits
-    run as one in-process batch.  A singular leave-one-out system is an
-    error identifying the offending area.
+    The m refits, warm-started at the full-data parameters, run a chunk
+    at a time and are summed in refit order, so output is bit-reproducible;
+    memory is a chunk plus O(m), time O(m^2).  A singular leave-one-out
+    system is an error identifying the offending area.
     """
-    ids, arr = _dataset(areas)
-    cfg = config if config is not None else FitConfig()
-    with _area_named(ids):
-        m1_j, m2_j, nonconverged = jackknife_core(
-            arr,
-            _check_beta(full_fit.params.beta, arr.p),
-            full_fit.params.sigma2_nu,
-            cfg.max_iterations,
-            cfg.rel_tolerance,
-        )
+    ids, (m1_j, m2_j, nonconverged) = _resample(jackknife_core, areas, full_fit, config)
     return JackknifeMspe(ids, m1_j, m2_j, m1_j + m2_j, nonconverged)
 
 
@@ -221,40 +234,31 @@ def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to refit, got {m}")
     check_bootstrap_args(b, seed)
-    pred_full, m1_full, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+    pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     factors = _psd_factors(arr.sigma)
-    sum_m1 = np.zeros(m)
-    sum_sq = np.zeros(m)
-    used = 0
-    capped = 0
-    for replicates in _arrays.batches(b, m):
-        starred = _draw_starred(arr, factors, beta, sigma2, seed, replicates)
-        fit = _arrays.fit_batch(starred, max_iterations, rel_tolerance, beta)
-        refit = fit.ok
-        # starred parameters, original data; a failed check drops the replicate
-        pred_star, m1_star, _, errors = _arrays.predict_batch(
-            arr, fit.beta[refit], fit.sigma2[refit]
-        )
-        keep = _arrays.ok_rows(len(pred_star), errors)
-        # a running sum in replicate order, carried across batches as row 0
-        sum_m1 = np.cumsum(np.vstack([sum_m1, m1_star[keep]]), axis=0)[-1]
-        sq = (pred_star[keep] - pred_full) ** 2
-        sum_sq = np.cumsum(np.vstack([sum_sq, sq]), axis=0)[-1]
-        used += int(np.count_nonzero(keep))
-        capped += int(np.count_nonzero(~fit.converged[refit][keep]))
+
+    def draw(replicates):
+        return _draw_starred(arr, factors, beta, sigma2, seed, replicates)
+
+    def terms(_, pred_star, m1_star):  # starred parameters, original data
+        return m1_star, (pred_star - pred) ** 2
+
+    one, start = _arrays.batch_of_one(arr), np.asarray(beta, dtype=float)[None]
+    (sum_m1, sum_sq), capped, fit_errors, predict_errors = _refit_sums(
+        one, np.zeros(b, int), draw, start, terms, max_iterations, rel_tolerance
+    )
+    used = b - len(fit_errors) - len(predict_errors)  # the rest are dropped
     if used == 0:
         raise SingularMomentMatrix(f"all {b} bootstrap replicates failed to refit")
-    dropped = b - used
-    if dropped:
+    if used < b:
+        dropped = b - used
         logger.warning(
             "dropped %d of %d bootstrap replicates (%.1f%% failure rate)",
             dropped,
             b,
             100.0 * dropped / b,
         )
-    m1_bias_corrected = 2.0 * m1_full - sum_m1 / used
-    m2_star = sum_sq / used
-    return m1_bias_corrected, m2_star, used, capped
+    return 2.0 * m1 - sum_m1[0] / used, sum_sq[0] / used, used, capped
 
 
 def bootstrap_mspe(
@@ -266,25 +270,19 @@ def bootstrap_mspe(
 ) -> BootstrapMspe:
     """Parametric-bootstrap MSPE estimates, in input order.
 
-    Replicate draws are keyed by ``(seed, replicate)`` and the B refits
-    run as one in-process batch, so output is bit-reproducible.
+    Replicate draws are keyed by ``(seed, replicate)``, and the B refits
+    run a chunk at a time and are summed in replicate order, so output is
+    bit-reproducible.
     Replicates whose refit fails are dropped and counted; the failure
     rate is logged, and so is the number of refits used that stopped at
     the iteration cap.
     """
-    ids, arr = _dataset(areas)
-    cfg = config if config is not None else FitConfig()
-    with _area_named(ids):
-        m1_bc, m2_star, used, capped = bootstrap_core(
-            arr,
-            _check_beta(full_fit.params.beta, arr.p),
-            full_fit.params.sigma2_nu,
-            b,
-            seed,
-            cfg.max_iterations,
-            cfg.rel_tolerance,
-        )
+    ids, (m1_bc, m2_star, used, capped) = _resample(
+        bootstrap_core, areas, full_fit, config, b, seed
+    )
     if capped:
-        logger.warning("%d of %d bootstrap refits hit the iteration cap", capped, b)
+        logger.warning(
+            "%d of %d bootstrap refits hit the iteration cap", capped, used
+        )
     totals = m1_bc + m2_star
     return BootstrapMspe(ids, m1_bc, m2_star, totals, totals < 0.0, used)

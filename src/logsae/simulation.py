@@ -16,9 +16,9 @@ Replicate r of a study is a pure function of (config, r): all draws come
 from streams keyed by (seed, purpose, r), so every study is
 bit-reproducible.  The replicates run in the calling process, a chunk at a
 time: one `_arrays.fit_batch` call fits every fit variant of every
-replicate of a chunk, and the MSPE study makes one more for all their
-leave-one-out refits.  Each replicate's results are those it gets on its
-own, bit for bit.  A replicate that fails a check fails alone: each stage
+replicate of a chunk, and the MSPE study refits their leave-one-out
+datasets a chunk at a time.  Each replicate's results are the bits it
+gets on its own.  A replicate that fails a check fails alone: each stage
 runs on the whole chunk and reports {replicate: error}, the refit stages
 skip a replicate that has failed, and the earliest stage's error is the
 one kept.  The chunk drops its failed replicates once, at the end.
@@ -398,18 +398,20 @@ def _mspe_chunk(
     errors |= fit.errors | y_errors  # the earliest stage's error wins
     # the refits run only for the replicates with no error yet
     live = np.flatnonzero(_arrays.ok_rows(len(z), errors))
-    pred_loo, m1_loo, _, fit_errors, predict_errors = leave_one_out_terms(
-        _arrays.select_rows(arr, live), fit.beta[live], max_iterations, rel_tolerance
+    loo = _arrays.select_rows(arr, live), fit.beta[live], pred[live], m1[live]
+    sums, _, fit_errors, predict_errors = leave_one_out_terms(
+        *loo, max_iterations, rel_tolerance
     )
     loo_errors = _replicate_errors(predict_errors, config.m) | _replicate_errors(
         fit_errors, config.m
     )
     errors |= {int(live[k]): exc for k, exc in loo_errors.items()}
     jk_total, bt_total = np.zeros_like(pred), np.zeros_like(pred)
+    jk_total[live] = np.add(*jackknife_terms(m1[live], *sums))
     # one bootstrap_core call, a batch of B refits, per replicate: a chunk
     # of bootstraps would hold B refit rows per replicate at once
-    for k, b in enumerate(live.tolist()):
-        if k in loo_errors:
+    for b in live.tolist():
+        if b in errors:  # its leave-one-out refits failed
             continue
         try:
             bt_m1, bt_m2, *_ = bootstrap_core(
@@ -424,8 +426,7 @@ def _mspe_chunk(
         except NumericalError as exc:
             errors[b] = exc
             continue
-        jk_m1, jk_m2 = jackknife_terms(pred[b], m1[b], pred_loo[k], m1_loo[k])
-        jk_total[b], bt_total[b] = jk_m1 + jk_m2, bt_m1 + bt_m2
+        bt_total[b] = bt_m1 + bt_m2
     return ((pred - Y) ** 2, jk_total, bt_total), errors
 
 

@@ -109,3 +109,25 @@ def test_only_model_builds_a_dataset_unchecked(name):
         if isinstance(node, ast.Call)
     ]
     assert "Dataset" not in called
+
+
+def test_mspe_has_one_chunked_refit_loop():
+    # the jackknife and the bootstrap share one refit-and-sum loop, so a
+    # new resampler reuses it instead of adding another copy
+    import logsae.mspe
+
+    with open(logsae.mspe.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = {"fit_batch": set(), "batches": set()}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "_arrays"
+                    and node.func.attr in callers
+                ):
+                    callers[node.func.attr].add(fn.name)
+    assert callers == {"fit_batch": {"_refit_sums"}, "batches": {"_refit_sums"}}

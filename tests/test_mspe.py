@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import make_areas, random_dataset
 from logsae import _arrays, mspe, rng
 from logsae.errors import InsufficientAreas, SingularMomentMatrix
 from logsae.estimation import FitConfig, fit
+from logsae.model import Dataset
 from logsae.mspe import bootstrap_mspe, jackknife_mspe
 
 
@@ -219,6 +221,31 @@ class TestBootstrap:
         messages = [rec.getMessage() for rec in caplog.records]
         assert "10 of 10 bootstrap refits hit the iteration cap" in messages
 
+    def test_the_cap_warning_counts_against_the_replicates_used(
+        self, monkeypatch, caplog
+    ):
+        z, w, psi, sigma = small_dataset(seed=13, m=5)
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        real = _arrays.fit_batch
+
+        def flaky(arr, max_iterations, rel_tolerance, beta_init=None):
+            # replicates 0, 3 and 6 fail; 1 and 3 stop at the cap, so one
+            # replicate used is capped
+            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            converged = result.converged.copy()
+            converged[[1, 3]] = False
+            failures = {r: SingularMomentMatrix("synthetic failure") for r in (0, 3, 6)}
+            return dataclasses.replace(result, converged=converged, errors=failures)
+
+        monkeypatch.setattr(_arrays, "fit_batch", flaky)
+        with caplog.at_level(logging.WARNING, logger="logsae.mspe"):
+            bt = bootstrap_mspe(areas, full, b=9, seed=1)
+        assert bt.b_replicates == 6
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert "dropped 3 of 9 bootstrap replicates (33.3% failure rate)" in messages
+        assert "1 of 6 bootstrap refits hit the iteration cap" in messages
+
     def test_b_below_two_rejected(self):
         z, w, psi, sigma = small_dataset()
         areas = make_areas(z, w, psi, sigma)
@@ -365,3 +392,64 @@ class TestBootstrapReduction:
         assert (got_used, capped) == (used, 0)
         assert m1_bc.tobytes() == (2.0 * m1_full - sum_m1 / used).tobytes()
         assert m2_star.tobytes() == (sum_sq / used).tobytes()
+
+
+class TestJackknifeReduction:
+    """leave_one_out_terms adds its refits' terms in refit order, so the
+    chunking cannot change their bits, and it holds no (m, m) array."""
+
+    M = 30
+
+    @staticmethod
+    def _problem(m):
+        z, w, psi, sigma = random_dataset(np.random.default_rng(43), m=m, p=2)
+        data = Dataset.from_columns([f"a{i}" for i in range(m)], z, w, psi, sigma)
+        return data, fit(data)
+
+    def _sums(self, arr, beta, sigma2):
+        pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+        one = _arrays.batch_of_one(arr)
+        sums, capped, *errors = mspe.leave_one_out_terms(
+            one, beta[None], pred[None], m1[None], 200, 1e-10
+        )
+        assert sums.shape == (2, 1, arr.m)
+        assert capped == 0 and errors == [{}, {}]
+        return sums[:, 0]
+
+    # _BATCH_CELLS and the number of chunks its m refits fall in
+    @pytest.mark.parametrize("cells, n_batches", [(1 << 16, 1), (300, 3), (1, M)])
+    def test_sums_equal_a_loop_in_refit_order(self, monkeypatch, cells, n_batches):
+        (_, arr), full = self._problem(self.M)
+        beta, sigma2 = full.params.beta, full.params.sigma2_nu
+        pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
+        sum_m1, sum_sq = np.zeros(self.M), np.zeros(self.M)
+        for j in range(self.M):
+            kept = np.arange(self.M) != j
+            loo = _arrays.select_rows(arr, kept)
+            beta_j, sigma2_j, *_ = _arrays.fit_core(loo, 200, 1e-10, beta)
+            pred_j, m1_j, _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
+            sum_m1 += m1 - m1_j
+            sum_sq += (pred - pred_j) ** 2
+        monkeypatch.setattr(_arrays, "_BATCH_CELLS", cells)
+        assert len(_arrays.batches(self.M, self.M)) == n_batches
+        got_m1, got_sq = self._sums(arr, beta, sigma2)
+        assert got_m1.tobytes() == sum_m1.tobytes()
+        assert got_sq.tobytes() == sum_sq.tobytes()
+        m1_j, m2_j, _ = mspe.jackknife_core(arr, beta, sigma2, 200, 1e-10)
+        factor = (self.M - 1.0) / self.M
+        assert m1_j.tobytes() == (m1 - factor * sum_m1).tobytes()
+        assert m2_j.tobytes() == (factor * sum_sq).tobytes()
+
+    def test_peak_memory_does_not_grow_as_m_squared(self):
+        # (m, m) arrays of refit predictions would grow the peak about 4x
+        # when m doubles; the sums and one chunk of refits grow it little
+        peaks = []
+        for m in (800, 1600):
+            data, full = self._problem(m)
+            tracemalloc.start()
+            try:
+                jackknife_mspe(data, full)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.6 * peaks[0]

@@ -236,7 +236,9 @@ class TestMspeStudy:
         bt_const = np.full(5, 2.0)
 
         monkeypatch.setattr(
-            sim, "jackknife_terms", lambda *a, **k: (jk_const.copy(), np.zeros(5))
+            sim,
+            "jackknife_terms",
+            lambda m1, *a: (np.broadcast_to(jk_const, m1.shape), np.zeros(m1.shape)),
         )
         monkeypatch.setattr(
             sim,
@@ -425,15 +427,19 @@ def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=Non
     arr = _arrays.AreaArrays(z, w, psi, sigma)
     beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
     pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
-    # the leave-one-out refits one at a time, each warm-started at beta
+    # the leave-one-out refits one at a time, each warm-started at beta,
+    # their terms added in refit order
     m = config.m
-    pred_loo, m1_loo = np.empty((m, m)), np.empty((m, m))
+    sum_m1, sum_sq = np.zeros(m), np.zeros(m)
     for j in range(m):
         kept = np.arange(m) != j
         loo = _arrays.AreaArrays(z[kept], w[kept], psi[kept], sigma[kept])
         beta_j, sigma2_j, *_ = _arrays.fit_core(loo, max_iterations, rel_tolerance, beta)
-        pred_loo[:, j], m1_loo[:, j], _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
-    jk_m1, jk_m2 = mspe.jackknife_terms(pred, m1, pred_loo, m1_loo)
+        pred_j, m1_j, _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
+        sum_m1 += m1 - m1_j
+        sum_sq += (pred - pred_j) ** 2
+    factor = (m - 1.0) / m
+    jk_m1, jk_m2 = m1 - factor * sum_m1, factor * sum_sq
     bt_m1, bt_m2, *_ = mspe.bootstrap_core(
         arr,
         beta,
