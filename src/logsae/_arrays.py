@@ -269,29 +269,30 @@ class BatchFit:
         return ok_rows(self.sigma2.size, self.errors)
 
 
-def fit_batch(
-    batch: AreaArrays, max_iterations: int, rel_tolerance: float, beta_init=None
-) -> BatchFit:
+def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
     """`fit_core` on B datasets at once.
 
     ``batch`` holds the B datasets, with the replicate axis on every
     field: ``z`` (B, m), ``w`` (B, m, p), ``psi`` (B, m) and ``sigma``
-    (B, m, p, p).
-    ``beta_init``, if given, is one start (p,) for every replicate or one
-    per replicate (B, p).  Each replicate takes the steps that `fit_core`
-    takes on it alone and stops at its own convergence or at
-    ``max_iterations``; one that fails a check stops with that error in
-    ``errors`` and the rest go on.
+    (B, m, p, p).  ``config``, an `estimation.FitConfig`, holds the
+    stopping rule and the cold start.  ``beta_init``, if given, replaces
+    ``config.beta_init`` as one start (p,) for every replicate or one per
+    replicate (B, p): the resamplers warm-start each refit at its own full
+    fit.  Each replicate takes the steps that `fit_core` takes on it alone
+    and stops at its own convergence or at ``config.max_iterations``; one
+    that fails a check stops with that error in ``errors`` and the rest
+    go on.
     """
     m, p = batch.m, batch.p
     if m <= p:
         raise InsufficientAreas(f"need at least {p + 1} areas to fit, got {m}")
     n = len(batch.z)
     moment = _moment(batch)
-    if beta_init is None:
+    start = config.beta_init if beta_init is None else beta_init
+    if start is None:
         beta, errors = _solve(batch, moment, np.ones((n, m)))
     else:
-        beta = np.asarray(beta_init, dtype=float)
+        beta = np.asarray(start, dtype=float)
         if beta.shape == (p,):
             beta = beta[None].repeat(n, axis=0)
         elif beta.shape != (n, p):
@@ -314,7 +315,7 @@ def fit_batch(
             stay = ~leaving
             rows, batch, moment = rows[stay], select_rows(batch, stay), moment[stay]
             beta, sigma2, truncated = beta[stay], sigma2[stay], truncated[stay]
-        if not rows.size or iteration == max_iterations:
+        if not rows.size or iteration == config.max_iterations:
             break
         iteration += 1
         weights, weight_errors = weights_batch(batch, beta, sigma2)
@@ -325,13 +326,13 @@ def fit_batch(
             step_sigma2 = np.abs(sigma2_new - sigma2) / (1.0 + np.abs(sigma2_new))
         step = np.where(step_sigma2 > step, step_sigma2, step)
         beta, sigma2 = beta_new, sigma2_new
-        leaving = step < rel_tolerance
+        leaving = step < config.rel_tolerance
         failed = solve_errors | weight_errors  # the weights are checked first
         if failed:
             errors.update((int(rows[b]), exc) for b, exc in failed.items())
             leaving[list(failed)] = True
             step[list(failed)] = np.inf
-        converged[rows[step < rel_tolerance]] = True
+        converged[rows[step < config.rel_tolerance]] = True
     # the replicates left stopped at the iteration cap
     out_beta[rows], out_sigma2[rows], out_truncated[rows] = beta, sigma2, truncated
     iterations[rows] = iteration
@@ -345,20 +346,16 @@ def fit_batch(
     )
 
 
-def fit_core(
-    arr: AreaArrays,
-    max_iterations: int,
-    rel_tolerance: float,
-    beta_init=None,
-) -> tuple[np.ndarray, float, int, bool, bool]:
-    """Alternate the weighted regression solve and the variance moment.
+def fit_core(arr: AreaArrays, config) -> tuple[np.ndarray, float, int, bool, bool]:
+    """Alternate the weighted regression solve and the variance moment,
+    with the settings of ``config``, an `estimation.FitConfig`.
 
     Returns (beta, sigma2, iterations, converged, truncated).  The weights
     for each sweep come from the previous full iterate; convergence is a
-    relative step below `rel_tolerance` jointly over beta and sigma2.
-    This is `fit_batch` on one dataset.
+    relative step below ``config.rel_tolerance`` jointly over beta and
+    sigma2.  This is `fit_batch` on one dataset.
     """
-    fit = fit_batch(batch_of_one(arr), max_iterations, rel_tolerance, beta_init)
+    fit = fit_batch(batch_of_one(arr), config)
     raise_first(fit.errors)
     return (
         fit.beta[0],

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``fit``, ``predict``, ``mspe``, ``simulate``.  Every run
-writes its outputs plus a ``manifest.json`` into ``--out``.  Exit codes:
+writes its outputs plus a ``manifest.json`` into ``--out``: each
+``cmd_*`` writes its outputs and returns what its manifest records, and
+`main` writes the manifest once the command has succeeded.  Exit codes:
 0 success, 2 usage, 3 data error, 4 numerical error; failures print a
 single JSON line ``{"error": <class>, "message": ...}`` to stderr.
 """
@@ -33,7 +35,7 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _write_manifest(args, out, config: dict, seed, input_path, started_at, n_workers):
+def _write_manifest(args, started_at, config: dict, seed, input_path, n_workers):
     manifest = dataio.RunManifest(
         command=" ".join(args.argv),
         config=config,
@@ -44,7 +46,7 @@ def _write_manifest(args, out, config: dict, seed, input_path, started_at, n_wor
         finished_at=_utc_now(),
         n_workers=n_workers,
     )
-    dataio.write_manifest(manifest, os.path.join(out, "manifest.json"))
+    dataio.write_manifest(manifest, os.path.join(args.out, "manifest.json"))
 
 
 def _write_fit(model_fit: ModelFit, ids, out) -> None:
@@ -96,19 +98,13 @@ def _load_params(path, p) -> ModelParams:
     return params
 
 
-def cmd_fit(args) -> int:
-    started = _utc_now()
+def cmd_fit(args):
     data = dataio.load_arrays(args.dataset)
-    model_fit = fit(data)
-    out = _ensure_out(args.out)
-    _write_fit(model_fit, data.ids, out)
-    config = {"dataset": args.dataset}
-    _write_manifest(args, out, config, None, args.dataset, started, 1)
-    return 0
+    _write_fit(fit(data), data.ids, _ensure_out(args.out))
+    return {"dataset": args.dataset}, None, args.dataset, 1
 
 
-def cmd_predict(args) -> int:
-    started = _utc_now()
+def cmd_predict(args):
     data = dataio.load_arrays(args.dataset)
     if args.params:
         # an empty dataset fails as InsufficientAreas whatever its header's p
@@ -128,13 +124,10 @@ def cmd_predict(args) -> int:
     dataio.write_csv(os.path.join(out, "predictions.csv"), columns)
     if model_fit is not None:
         _write_fit(model_fit, data.ids, out)
-    config = {"dataset": args.dataset, "params": args.params}
-    _write_manifest(args, out, config, None, args.dataset, started, 1)
-    return 0
+    return {"dataset": args.dataset, "params": args.params}, None, args.dataset, 1
 
 
-def cmd_mspe(args) -> int:
-    started = _utc_now()
+def cmd_mspe(args):
     if args.method == "bootstrap":  # a usage error, before the dataset is read
         check_bootstrap_args(args.b, args.seed)
     data = dataio.load_arrays(args.dataset)
@@ -169,8 +162,7 @@ def cmd_mspe(args) -> int:
         "method": args.method,
         "b": args.b if args.method == "bootstrap" else None,
     }
-    _write_manifest(args, out, config, seed, args.dataset, started, workers)
-    return 0
+    return config, seed, args.dataset, workers
 
 
 def _write_report(report: simulation.SimulationReport, out: str) -> None:
@@ -180,8 +172,7 @@ def _write_report(report: simulation.SimulationReport, out: str) -> None:
         dataio.write_csv(os.path.join(out, f"{report.study}_{name}.csv"), columns)
 
 
-def cmd_simulate(args) -> int:
-    started = _utc_now()
+def cmd_simulate(args):
     workers = parallel.resolve_workers(args.workers)
     zeros, misspec = args.study == "zeros", args.study == "misspec"
     if args.d_mis is not None and not misspec:
@@ -223,8 +214,7 @@ def cmd_simulate(args) -> int:
     ran = dataclasses.asdict(config) | {"m": m_values, "k_percent": k_values}
     if misspec:
         ran["d_mis"] = d_mis
-    _write_manifest(args, args.out, ran, config.seed, None, started, workers)
-    return 0
+    return ran, config.seed, None, workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,8 +295,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = ["logsae", *argv]
+    started = _utc_now()
     try:
-        return args.func(args)
+        # (manifest config, seed, input path, workers) of a command that ran
+        _write_manifest(args, started, *args.func(args))
+        return 0
     except ValueError as exc:
         _emit_error(exc)
         return 2

@@ -17,6 +17,8 @@ joint relative step falls below tolerance.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +31,13 @@ __all__ = ["FitConfig", "ModelFit", "solve_beta", "estimate_sigma2", "fit"]
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Iteration controls for `fit`.
+    """The settings of every fit: `fit`, the resamplers' refits and the
+    studies' fits all read them from here.
 
-    ``beta_init`` overrides the default starting value (the unweighted
-    solve of the moment equation, i.e. all ``D_i = 1``).
+    A fit stops at a relative step below ``rel_tolerance`` or after
+    ``max_iterations`` steps.  ``beta_init`` overrides the default
+    starting value (the unweighted solve of the moment equation, i.e. all
+    ``D_i = 1``); the resamplers' refits start at their full fit instead.
     """
 
     max_iterations: int = 200
@@ -40,13 +45,25 @@ class FitConfig:
     beta_init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.rel_tolerance > 0.0:
-            raise ValueError("rel_tolerance must be > 0")
-        # one start for every fit; the fit checks its length against p
-        if self.beta_init is not None and np.ndim(self.beta_init) != 1:
-            raise ValueError("beta_init must be one-dimensional")
+        cap, tol = self.max_iterations, self.rel_tolerance
+        # a cap such as 2.5 or inf never equals the iteration count, so it
+        # would never stop a fit
+        if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
+        object.__setattr__(self, "max_iterations", int(cap))
+        if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+            raise ValueError(f"rel_tolerance must be a real number, got {tol!r}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"rel_tolerance must be > 0 and finite, got {tol!r}")
+        if self.beta_init is not None:
+            # one start for every fit; the fit checks its length against p
+            start = np.asarray(self.beta_init)
+            if start.ndim != 1:
+                raise ValueError("beta_init must be one-dimensional")
+            if start.dtype.kind not in "iuf" or not np.isfinite(start).all():
+                raise ValueError(
+                    f"beta_init must be finite real numbers, got {self.beta_init!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -108,9 +125,7 @@ def fit(areas, config: FitConfig | None = None) -> ModelFit:
     ids, arr = _dataset(areas)
     cfg = config if config is not None else FitConfig()
     with _area_named(ids):
-        beta, sigma2, iterations, converged, truncated = _arrays.fit_core(
-            arr, cfg.max_iterations, cfg.rel_tolerance, cfg.beta_init
-        )
+        beta, sigma2, iterations, converged, truncated = _arrays.fit_core(arr, cfg)
         gammas, errors = _arrays.gamma_batch(
             arr.sigma, arr.psi, beta[None], np.array([sigma2])
         )

@@ -81,13 +81,14 @@ def _leave_one_out(batch, dropped, owners):
     return _arrays.select_rows(batch, owners, areas)
 
 
-def _refit_sums(batch, owners, draw, beta, terms, max_iterations, rel_tolerance):
+def _refit_sums(batch, owners, draw, beta, terms, config):
     """Refit row r, drawn from dataset owners[r] of ``batch`` (n datasets),
     warm-started at its owner's row of ``beta`` (n, p), and add the two
     per-area ``terms(owners, pred, m1)`` of its predictions on its owner's
     areas to (2, n, m) sums.  ``draw(rows)`` gives a chunk's datasets.
     Every row with no error is added in row order, so the chunking cannot
-    change a bit.  Also returns how many of those rows stopped at the
+    change a bit.  The refits stop by the rule of ``config``, a
+    `FitConfig`.  Also returns how many of those rows stopped at the
     iteration cap, and {row: error} for the failed refits and for the
     failed predictions of the rest.
     """
@@ -96,7 +97,7 @@ def _refit_sums(batch, owners, draw, beta, terms, max_iterations, rel_tolerance)
     capped, fit_errors, predict_errors = 0, {}, {}
     for rows in _arrays.batches(len(owners), m):
         own = owners[rows]
-        fit = _arrays.fit_batch(draw(rows), max_iterations, rel_tolerance, beta[own])
+        fit = _arrays.fit_batch(draw(rows), config, beta[own])
         refit = np.flatnonzero(fit.ok)
         pred, m1, _, errors = _arrays.predict_batch(
             _arrays.select_rows(batch, own[refit]), fit.beta[refit], fit.sigma2[refit]
@@ -112,7 +113,7 @@ def _refit_sums(batch, owners, draw, beta, terms, max_iterations, rel_tolerance)
     return sums.reshape(2, n, m), capped, fit_errors, predict_errors
 
 
-def leave_one_out_terms(arr, beta, pred, m1, max_iterations, rel_tolerance):
+def leave_one_out_terms(arr, beta, pred, m1, config):
     """`_refit_sums` of the n datasets ``arr``, fitted at ``beta`` (n, p)
     to ``pred`` and ``m1`` (n, m): row r * m + j drops area j of dataset r,
     and the sums are sum_j (m1_i - m1_i(-j)) and sum_j (pred_i - pred_i(-j))^2.
@@ -126,17 +127,17 @@ def leave_one_out_terms(arr, beta, pred, m1, max_iterations, rel_tolerance):
     def terms(own, pred_loo, m1_loo):
         return m1[own] - m1_loo, (pred[own] - pred_loo) ** 2
 
-    return _refit_sums(arr, owners, draw, beta, terms, max_iterations, rel_tolerance)
+    return _refit_sums(arr, owners, draw, beta, terms, config)
 
 
-def jackknife_core(arr, beta, sigma2, max_iterations, rel_tolerance):
+def jackknife_core(arr, beta, sigma2, config):
     m, p = arr.m, arr.p
     if m < p + 2:
         raise InsufficientAreas(f"jackknife needs at least {p + 2} areas, got {m}")
     pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     one, beta = _arrays.batch_of_one(arr), np.asarray(beta, dtype=float)
     sums, capped, fit_errors, predict_errors = leave_one_out_terms(
-        one, beta[None], pred[None], m1[None], max_iterations, rel_tolerance
+        one, beta[None], pred[None], m1[None], config
     )
     if fit_errors:
         j = min(fit_errors)
@@ -162,9 +163,8 @@ def _resample(core, areas, full_fit, config, *args):
     ids, arr = _dataset(areas)
     cfg = config if config is not None else FitConfig()
     beta = _check_beta(full_fit.params.beta, arr.p)
-    fit_args = cfg.max_iterations, cfg.rel_tolerance
     with _area_named(ids):
-        return ids, core(arr, beta, full_fit.params.sigma2_nu, *args, *fit_args)
+        return ids, core(arr, beta, full_fit.params.sigma2_nu, *args, cfg)
 
 
 def jackknife_mspe(
@@ -221,13 +221,16 @@ def _draw_starred(arr, factors, beta, sigma2, seed, replicates):
 
 
 def check_bootstrap_args(b, seed) -> None:
-    """Raise ValueError for fewer than 2 replicates or a bad seed."""
+    """Raise ValueError for a non-integer ``b``, fewer than 2 replicates
+    or a bad seed."""
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool):
+        raise ValueError(f"b must be an integer, got {b!r}")
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
     rng.check_seed(seed)
 
 
-def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
+def bootstrap_core(arr, beta, sigma2, b, seed, config):
     """Bias-corrected m1, m2* and the number of replicates used and, of
     those, refits that stopped at the iteration cap."""
     m, p = arr.m, arr.p
@@ -245,7 +248,7 @@ def bootstrap_core(arr, beta, sigma2, b, seed, max_iterations, rel_tolerance):
 
     one, start = _arrays.batch_of_one(arr), np.asarray(beta, dtype=float)[None]
     (sum_m1, sum_sq), capped, fit_errors, predict_errors = _refit_sums(
-        one, np.zeros(b, int), draw, start, terms, max_iterations, rel_tolerance
+        one, np.zeros(b, int), draw, start, terms, config
     )
     used = b - len(fit_errors) - len(predict_errors)  # the rest are dropped
     if used == 0:

@@ -216,15 +216,11 @@ def _run_cell(fn, cell: SimulationConfig, fit_config, width: int, **kwargs):
     that each replicate needs.  Returns the replicates that succeeded, in
     order, each of ``fn``'s outputs stacked over them, and the number
     that failed; raises `NumericalError` naming the cell when every
-    replicate failed.
+    replicate failed.  ``fn`` gets ``fit_config`` (default `FitConfig()`),
+    whose settings every fit of the cell uses.
     """
-    cfg = fit_config if fit_config is not None else FitConfig()
-    kwargs |= dict(
-        config=cell,
-        max_iterations=cfg.max_iterations,
-        rel_tolerance=cfg.rel_tolerance,
-        beta_init=cfg.beta_init,
-    )
+    fit_config = fit_config if fit_config is not None else FitConfig()
+    kwargs |= dict(config=cell, fit_config=fit_config)
     done, results = [], []
     for replicates in _arrays.batches(cell.r_replications, width * cell.m):
         outputs, errors = _run_chunk(fn, replicates, **kwargs)
@@ -256,9 +252,7 @@ def _run_chunk(fn, replicates: range, config: SimulationConfig, **kwargs):
 def _one(fn, replicate, **kwargs):
     """Replicate ``replicate`` alone through `_run_chunk`: its outputs, or
     its error raised."""
-    outputs, errors = _run_chunk(
-        fn, range(replicate, replicate + 1), beta_init=None, **kwargs
-    )
+    outputs, errors = _run_chunk(fn, range(replicate, replicate + 1), **kwargs)
     _arrays.raise_first(errors)
     return tuple(output[0] for output in outputs)
 
@@ -280,9 +274,7 @@ def _run_grid(fn, cells, fit_config, width, reduce, **kwargs):
     """
     rows, completed, failed = [], [], []
     for cell in cells:
-        replicates, outputs, n_failed = _run_cell(
-            fn, cell, fit_config, width, **kwargs
-        )
+        replicates, outputs, n_failed = _run_cell(fn, cell, fit_config, width, **kwargs)
         rows.append(reduce(*outputs))
         completed.append(len(replicates))
         failed.append(n_failed)
@@ -305,7 +297,7 @@ def grid_cells(
     ]
 
 
-def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init):
+def _fit_variants(z, psi, ws, sigmas, fit_config):
     """Fit every replicate's variants, each with its own covariates and
     error covariances, as one batch of rows replicate-major.
 
@@ -319,16 +311,14 @@ def _fit_variants(z, psi, ws, sigmas, max_iterations, rel_tolerance, beta_init):
 
     z, psi = np.repeat(z, width, axis=0), np.repeat(psi, width, axis=0)
     arr = _arrays.AreaArrays(z, rows(ws), psi, rows(sigmas))
-    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
+    fit = _arrays.fit_batch(arr, fit_config)
     return arr, fit, _replicate_errors(fit.errors, width)
 
 
 # ---------------------------------------------------------------- accuracy
 
 
-def _emse_chunk(
-    replicates, population, config, max_iterations, rel_tolerance, beta_init
-):
+def _emse_chunk(replicates, population, config, fit_config):
     W, theta, z, w, psi, sigma, _ = population
     Y, y_errors = _arrays.exp_batch(theta)
     direct, direct_errors = _arrays.exp_batch(z)
@@ -336,8 +326,7 @@ def _emse_chunk(
     # the EB variants in EMSE_ESTIMATORS order: true covariate, Sigma
     # ignored, full
     arr, fit, fit_errors = _fit_variants(
-        z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma),
-        max_iterations, rel_tolerance, beta_init,
+        z, psi, (W, w, w), (zero_sigma, zero_sigma, sigma), fit_config
     )
     pred, _, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
     pred = pred.reshape(len(z), 3, config.m)
@@ -387,21 +376,17 @@ def run_emse_study(
 # -------------------------------------------------------------- uncertainty
 
 
-def _mspe_chunk(
-    replicates, population, config, max_iterations, rel_tolerance, beta_init
-):
+def _mspe_chunk(replicates, population, config, fit_config):
     _, theta, z, w, psi, sigma, _ = population
     Y, y_errors = _arrays.exp_batch(theta)
     arr = _arrays.AreaArrays(z, w, psi, sigma)
-    fit = _arrays.fit_batch(arr, max_iterations, rel_tolerance, beta_init)
+    fit = _arrays.fit_batch(arr, fit_config)
     pred, m1, _, errors = _arrays.predict_batch(arr, fit.beta, fit.sigma2)
     errors |= fit.errors | y_errors  # the earliest stage's error wins
     # the refits run only for the replicates with no error yet
     live = np.flatnonzero(_arrays.ok_rows(len(z), errors))
     loo = _arrays.select_rows(arr, live), fit.beta[live], pred[live], m1[live]
-    sums, _, fit_errors, predict_errors = leave_one_out_terms(
-        *loo, max_iterations, rel_tolerance
-    )
+    sums, _, fit_errors, predict_errors = leave_one_out_terms(*loo, fit_config)
     loo_errors = _replicate_errors(predict_errors, config.m) | _replicate_errors(
         fit_errors, config.m
     )
@@ -420,8 +405,7 @@ def _mspe_chunk(
                 float(fit.sigma2[b]),
                 config.b_bootstrap,
                 rng.derive_seed(config.seed, replicates[b]),
-                max_iterations,
-                rel_tolerance,
+                fit_config,
             )
         except NumericalError as exc:
             errors[b] = exc
@@ -503,15 +487,12 @@ def run_mspe_study(
 # ---------------------------------------------------------- zero proportion
 
 
-def _zeros_chunk(
-    replicates, population, config, max_iterations, rel_tolerance, beta_init
-):
+def _zeros_chunk(replicates, population, config, fit_config):
     W, theta, z, w, psi, sigma, _ = population
     zero_sigma = np.zeros_like(sigma)
     # error-aware, Sigma ignored, true covariate
     _, fit, errors = _fit_variants(
-        z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma),
-        max_iterations, rel_tolerance, beta_init,
+        z, psi, (w, w, W), (sigma, zero_sigma, zero_sigma), fit_config
     )
     return tuple(fit.truncated.reshape(len(z), 3).T), errors
 
@@ -561,15 +542,11 @@ def zero_proportion_study(
 # ------------------------------------------------------------- sensitivity
 
 
-def _misspec_chunk(
-    replicates, population, config, d_mis, max_iterations, rel_tolerance, beta_init
-):
+def _misspec_chunk(replicates, population, config, d_mis, fit_config):
     W, theta, z, w, psi, sigma, me_idx = population
     sigma_mis = np.zeros_like(sigma)
     sigma_mis[np.arange(len(z))[:, None], me_idx] = float(d_mis) * np.eye(config.p)
-    _, fit, errors = _fit_variants(
-        z, psi, (w, w), (sigma, sigma_mis), max_iterations, rel_tolerance, beta_init
-    )
+    _, fit, errors = _fit_variants(z, psi, (w, w), (sigma, sigma_mis), fit_config)
     return tuple(fit.beta[:, 0].reshape(len(z), 2).T), errors
 
 

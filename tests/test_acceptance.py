@@ -33,9 +33,7 @@ def test_criterion_1_no_error_predictors_coincide(capsys):
     ok = True
     detail = ""
     for r in range(config.r_replications):
-        out = sim._one(
-            sim._emse_chunk, r, config=config, max_iterations=200, rel_tolerance=1e-10
-        )
+        out = sim._one(sim._emse_chunk, r, config=config, fit_config=FitConfig())
         if out is None:
             ok, detail = False, f"replicate {r} failed numerically"
             break

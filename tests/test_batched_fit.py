@@ -6,6 +6,7 @@ iteration, that a B=1 call of the same kernel takes on it alone, and a
 replicate that fails must fail alone.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from logsae import _arrays, mspe
 from logsae.errors import SingularMomentMatrix
+from logsae.estimation import FitConfig
 
-MAX_ITERATIONS, TOLERANCE = 200, 1e-10
+CONFIG = FitConfig(max_iterations=200, rel_tolerance=1e-10)
 COUNTS = ("iterations", "converged", "truncated")
 
 
@@ -45,18 +47,21 @@ def replicate(batch, k):
     return _arrays.AreaArrays(batch.z[k], batch.w[k], batch.psi[k], batch.sigma[k])
 
 
+def started(beta_init):
+    # CONFIG with a cold start at beta_init, for `fit_core`
+    return dataclasses.replace(CONFIG, beta_init=beta_init)
+
+
 def check_against_single_fits(batch, beta_init, failing):
-    fit = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, beta_init)
+    fit = _arrays.fit_batch(batch, CONFIG, beta_init)
     assert set(fit.errors) == failing
     for k in range(len(batch.z)):
         alone = replicate(batch, k)
-        single = _arrays.fit_batch(
-            _arrays.batch_of_one(alone), MAX_ITERATIONS, TOLERANCE, beta_init
-        )
+        single = _arrays.fit_batch(_arrays.batch_of_one(alone), CONFIG, beta_init)
         if k in failing:
             assert str(single.errors[0]) == str(fit.errors[k])
             with pytest.raises(SingularMomentMatrix, match="singular"):
-                _arrays.fit_core(alone, MAX_ITERATIONS, TOLERANCE, beta_init)
+                _arrays.fit_core(alone, started(beta_init))
             continue
         assert not single.errors
         np.testing.assert_allclose(fit.beta[k], single.beta[0], rtol=1e-12, atol=0.0)
@@ -64,7 +69,7 @@ def check_against_single_fits(batch, beta_init, failing):
         counts = tuple(getattr(single, name)[0] for name in COUNTS)
         assert tuple(getattr(fit, name)[k] for name in COUNTS) == counts
         # fit_core is the same B=1 call
-        core = _arrays.fit_core(alone, MAX_ITERATIONS, TOLERANCE, beta_init)
+        core = _arrays.fit_core(alone, started(beta_init))
         assert core[2:] == counts
     return fit
 
@@ -122,9 +127,7 @@ def test_leave_one_out_batch_equals_looped(seed, m, p, singular):
             continue
         kept = np.arange(m) != j
         reduced = _arrays.AreaArrays(z[kept], w[kept], psi[kept], sigma[kept])
-        beta, sigma2, iterations, *_ = _arrays.fit_core(
-            reduced, MAX_ITERATIONS, TOLERANCE, beta_init
-        )
+        beta, sigma2, iterations, *_ = _arrays.fit_core(reduced, started(beta_init))
         assert np.array_equal(beta, fit.beta[j]) and sigma2 == fit.sigma2[j]
         assert iterations == fit.iterations[j]
 
@@ -143,10 +146,10 @@ def test_one_warm_start_per_replicate_equals_single_fits(seed, m, p, b):
     z, w = draw(gen, (b, m), p)
     batch = _arrays.AreaArrays(z, w, copies(psi, b), copies(sigma, b))
     starts = gen.normal(1.0, 0.5, size=(b, p))
-    fit = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, starts)
+    fit = _arrays.fit_batch(batch, CONFIG, starts)
     for k in range(b):
         alone = _arrays.batch_of_one(replicate(batch, k))
-        single = _arrays.fit_batch(alone, MAX_ITERATIONS, TOLERANCE, starts[k])
+        single = _arrays.fit_batch(alone, CONFIG, starts[k])
         assert np.array_equal(fit.beta[k], single.beta[0])
         assert fit.sigma2[k] == single.sigma2[0]
         assert tuple(getattr(fit, name)[k] for name in COUNTS) == tuple(
@@ -161,7 +164,7 @@ def test_warm_start_of_another_shape_is_rejected(shape):
     z, w = draw(gen, (2, 6), 1)
     batch = _arrays.AreaArrays(z, w, copies(psi, 2), copies(sigma, 2))
     with pytest.raises(ValueError, match=r"^beta_init must have shape \(1,\) or \(2, 1\)$"):
-        _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, np.ones(shape))
+        _arrays.fit_batch(batch, CONFIG, np.ones(shape))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -226,17 +229,17 @@ def test_broadcast_psi_and_sigma_fit_as_copies_and_alone(seed, m, p, b, warm):
     )
     assert starred.psi.strides[0] == 0 and starred.sigma.strides[0] == 0
     beta_init = beta if warm else None
-    fit = _arrays.fit_batch(starred, MAX_ITERATIONS, TOLERANCE, beta_init)
+    fit = _arrays.fit_batch(starred, CONFIG, beta_init)
     assume(len(set(fit.iterations.tolist())) > 1)  # rows leave at different steps
     fields = ("beta", "sigma2", *COUNTS)
     batch = _arrays.AreaArrays(starred.z, starred.w, copies(psi, b), copies(sigma, b))
-    copied = _arrays.fit_batch(batch, MAX_ITERATIONS, TOLERANCE, beta_init)
+    copied = _arrays.fit_batch(batch, CONFIG, beta_init)
     assert set(copied.errors) == set(fit.errors)
     for name in fields:
         assert getattr(copied, name).tobytes() == getattr(fit, name).tobytes()
     for k in range(b):
         alone = _arrays.batch_of_one(replicate(starred, k))
-        single = _arrays.fit_batch(alone, MAX_ITERATIONS, TOLERANCE, beta_init)
+        single = _arrays.fit_batch(alone, CONFIG, beta_init)
         if k in fit.errors:
             assert str(single.errors[0]) == str(fit.errors[k])
             continue

@@ -746,3 +746,15 @@ def test_d_mis_outside_misspec_exits_two(tmp_path, capsys, study):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "--d-mis" in err["message"]
     assert not list(tmp_path.rglob("report.json"))
+
+
+def test_a_command_that_fails_after_making_its_out_directory_writes_no_manifest(
+    dataset, tmp_path, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise errors.SingularMomentMatrix("synthetic failure")
+
+    monkeypatch.setattr(cli, "jackknife_mspe", fail)
+    out = tmp_path / "out"
+    assert main(["mspe", str(dataset), "--method", "jackknife", "--out", str(out)]) == 4
+    assert out.is_dir() and not (out / "manifest.json").exists()

@@ -1,5 +1,7 @@
 """Moment-iteration fitting: worked examples, oracle equivalence, properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,28 @@ class TestFitConfig:
         for start in (np.ones((1, 1)), 1.0):
             with pytest.raises(ValueError, match="^beta_init must be one-dimensional$"):
                 FitConfig(beta_init=start)
+
+    @pytest.mark.parametrize("cap", [2.5, math.inf, True, 3.0, "5"])
+    def test_rejects_a_cap_that_is_not_an_integer(self, cap):
+        # a fit stops when its step count equals the cap, which a
+        # non-integer never does
+        with pytest.raises(ValueError, match="^max_iterations must be an integer >= 1"):
+            FitConfig(max_iterations=cap)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        config = FitConfig(max_iterations=np.int64(7))
+        assert config.max_iterations == 7 and type(config.max_iterations) is int
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, True, "1e-6"])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tolerance):
+        # an infinite tolerance would stop every fit after one step
+        with pytest.raises(ValueError, match="^rel_tolerance must be"):
+            FitConfig(rel_tolerance=tolerance)
+
+    @pytest.mark.parametrize("start", [[math.nan], [1.0, math.inf], ["a"], [None]])
+    def test_rejects_a_start_that_is_not_finite(self, start):
+        with pytest.raises(ValueError, match="^beta_init must be finite real numbers"):
+            FitConfig(beta_init=start)
 
 
 @settings(max_examples=40, deadline=None)

@@ -131,3 +131,39 @@ def test_mspe_has_one_chunked_refit_loop():
                 ):
                     callers[node.func.attr].add(fn.name)
     assert callers == {"fit_batch": {"_refit_sums"}, "batches": {"_refit_sums"}}
+
+
+FIT_SETTINGS = {"max_iterations", "rel_tolerance", "beta_init"}
+
+
+def _functions(name):
+    with open(importlib.import_module(name).__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+
+@pytest.mark.parametrize("name", ["logsae.mspe", "logsae.simulation"])
+def test_the_fit_settings_travel_as_one_config(name):
+    # a fit setting is a `FitConfig` field, so a new one is added in one
+    # place instead of to every signature between the API and the kernel
+    params = {
+        f"{fn.name}({arg.arg})"
+        for fn in _functions(name)
+        for arg in ast.walk(fn.args)
+        if isinstance(arg, ast.arg) and arg.arg in FIT_SETTINGS
+    }
+    assert params == set()
+
+
+def test_only_the_fit_kernel_reads_the_stopping_rule():
+    # `FitConfig` checks its fields; the rest of the package hands the
+    # config on, and only `fit_batch` reads when a fit stops
+    readers = {
+        f"{name}.{fn.name}"
+        for name in MODULES
+        for fn in _functions(name)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"max_iterations", "rel_tolerance"}
+    }
+    assert readers == {"logsae._arrays.fit_batch", "logsae.estimation.__post_init__"}

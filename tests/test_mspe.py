@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,15 +91,25 @@ class TestJackknife:
         with pytest.raises(InsufficientAreas):
             jackknife_mspe(areas, full)
 
+    def test_refits_stop_at_the_configured_cap(self):
+        # the leave-one-out refits take more than one step from the full
+        # fit, so a one-step cap stops every one of them
+        z, w, psi, sigma = small_dataset(seed=5, m=6)
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        assert jackknife_mspe(areas, full).loo_nonconverged == 0
+        capped = jackknife_mspe(areas, full, config=FitConfig(max_iterations=1))
+        assert capped.loo_nonconverged == len(areas)
+
     def test_failed_refit_names_dropped_area(self, monkeypatch):
         z, w, psi, sigma = small_dataset()
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
         real = _arrays.fit_batch
 
-        def boom(arr, max_iterations, rel_tolerance, beta_init=None):
+        def boom(arr, config, beta_init=None):
             # the refits dropping areas 2 and 3 fail; the lower one is named
-            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            result = real(arr, config, beta_init)
             failures = {j: SingularMomentMatrix("synthetic failure") for j in (3, 2)}
             return dataclasses.replace(result, errors=failures)
 
@@ -115,7 +126,7 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def frozen(arr, max_iterations, rel_tolerance, beta_init=None):
+        def frozen(arr, config, beta_init=None):
             return frozen_batch(len(arr.z), full.params.beta, full.params.sigma2_nu)
 
         monkeypatch.setattr(_arrays, "fit_batch", frozen)
@@ -158,7 +169,7 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def inflated(arr, max_iterations, rel_tolerance, beta_init=None):
+        def inflated(arr, config, beta_init=None):
             # starred params with a much larger variance blow up each
             # replicate's variance term, driving 2 M1 - mean below zero
             sigma2 = full.params.sigma2_nu + 6.0
@@ -177,9 +188,9 @@ class TestBootstrap:
         full = fit(areas)
         real = _arrays.fit_batch
 
-        def flaky(arr, max_iterations, rel_tolerance, beta_init=None):
+        def flaky(arr, config, beta_init=None):
             # every third replicate fails; the rest refit for real
-            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            result = real(arr, config, beta_init)
             failures = {
                 r: SingularMomentMatrix("synthetic failure")
                 for r in range(0, len(arr.z), 3)
@@ -197,7 +208,7 @@ class TestBootstrap:
         areas = make_areas(z, w, psi, sigma)
         full = fit(areas)
 
-        def boom(arr, max_iterations, rel_tolerance, beta_init=None):
+        def boom(arr, config, beta_init=None):
             n = len(arr.z)
             failures = {r: SingularMomentMatrix("synthetic failure") for r in range(n)}
             return frozen_batch(n, full.params.beta, full.params.sigma2_nu, failures)
@@ -212,12 +223,13 @@ class TestBootstrap:
         full = fit(areas)
         arr = _arrays.stack(areas)
         beta, sigma2 = full.params.beta, full.params.sigma2_nu
-        result = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, 200, 1e-10)
+        one_step = FitConfig(max_iterations=1)
+        result = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, FitConfig())
         assert result[2] == 10 and result[3] == 0
-        capped = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, 1, 1e-10)
+        capped = mspe.bootstrap_core(arr, beta, sigma2, 10, 4, one_step)
         assert capped[2] == 10 and capped[3] == 10
         with caplog.at_level(logging.WARNING, logger="logsae.mspe"):
-            bootstrap_mspe(areas, full, b=10, seed=4, config=FitConfig(max_iterations=1))
+            bootstrap_mspe(areas, full, b=10, seed=4, config=one_step)
         messages = [rec.getMessage() for rec in caplog.records]
         assert "10 of 10 bootstrap refits hit the iteration cap" in messages
 
@@ -229,10 +241,10 @@ class TestBootstrap:
         full = fit(areas)
         real = _arrays.fit_batch
 
-        def flaky(arr, max_iterations, rel_tolerance, beta_init=None):
+        def flaky(arr, config, beta_init=None):
             # replicates 0, 3 and 6 fail; 1 and 3 stop at the cap, so one
             # replicate used is capped
-            result = real(arr, max_iterations, rel_tolerance, beta_init)
+            result = real(arr, config, beta_init)
             converged = result.converged.copy()
             converged[[1, 3]] = False
             failures = {r: SingularMomentMatrix("synthetic failure") for r in (0, 3, 6)}
@@ -252,6 +264,14 @@ class TestBootstrap:
         full = fit(areas)
         with pytest.raises(ValueError):
             bootstrap_mspe(areas, full, b=1, seed=1)
+
+    @pytest.mark.parametrize("b", [2.5, np.float64(4.0), True, "8"])
+    def test_non_integer_b_rejected(self, b):
+        z, w, psi, sigma = small_dataset()
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        with pytest.raises(ValueError, match=f"^b must be an integer, got {re.escape(repr(b))}$"):
+            bootstrap_mspe(areas, full, b=b, seed=1)
 
     def test_m2_star_stabilizes_as_b_doubles(self):
         # law of large numbers: the B and 2B means differ by less than
@@ -341,7 +361,7 @@ class TestBootstrapReduction:
         return _arrays.stack(areas), full.params.beta, full.params.sigma2_nu
 
     def _core(self, arr, beta, sigma2):
-        return mspe.bootstrap_core(arr, beta, sigma2, self.B, self.SEED, 200, 1e-10)
+        return mspe.bootstrap_core(arr, beta, sigma2, self.B, self.SEED, FitConfig())
 
     @pytest.mark.parametrize("cells, n_batches", BATCHES)
     def test_batch_size_leaves_the_bits(self, monkeypatch, cells, n_batches):
@@ -364,7 +384,7 @@ class TestBootstrapReduction:
         factors = mspe._psd_factors(arr.sigma)
         replicates = range(self.B)
         starred = mspe._draw_starred(arr, factors, beta, sigma2, self.SEED, replicates)
-        refit = _arrays.fit_batch(starred, 200, 1e-10, beta)
+        refit = _arrays.fit_batch(starred, FitConfig(), beta)
         pred_star, m1_star, _, errors = _arrays.predict_batch(
             arr, refit.beta, refit.sigma2
         )
@@ -410,7 +430,7 @@ class TestJackknifeReduction:
         pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
         one = _arrays.batch_of_one(arr)
         sums, capped, *errors = mspe.leave_one_out_terms(
-            one, beta[None], pred[None], m1[None], 200, 1e-10
+            one, beta[None], pred[None], m1[None], FitConfig()
         )
         assert sums.shape == (2, 1, arr.m)
         assert capped == 0 and errors == [{}, {}]
@@ -426,7 +446,7 @@ class TestJackknifeReduction:
         for j in range(self.M):
             kept = np.arange(self.M) != j
             loo = _arrays.select_rows(arr, kept)
-            beta_j, sigma2_j, *_ = _arrays.fit_core(loo, 200, 1e-10, beta)
+            beta_j, sigma2_j, *_ = _arrays.fit_core(loo, FitConfig(beta_init=beta))
             pred_j, m1_j, _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
             sum_m1 += m1 - m1_j
             sum_sq += (pred - pred_j) ** 2
@@ -435,7 +455,7 @@ class TestJackknifeReduction:
         got_m1, got_sq = self._sums(arr, beta, sigma2)
         assert got_m1.tobytes() == sum_m1.tobytes()
         assert got_sq.tobytes() == sum_sq.tobytes()
-        m1_j, m2_j, _ = mspe.jackknife_core(arr, beta, sigma2, 200, 1e-10)
+        m1_j, m2_j, _ = mspe.jackknife_core(arr, beta, sigma2, FitConfig())
         factor = (self.M - 1.0) / self.M
         assert m1_j.tobytes() == (m1 - factor * sum_m1).tobytes()
         assert m2_j.tobytes() == (factor * sum_sq).tobytes()

@@ -281,12 +281,11 @@ class TestMspeStudy:
         # summing in replicate order, bit for bit
         config = cfg(m=6, k_percent=50.0, r_replications=4, b_bootstrap=6)
         report = sim.run_mspe_study(config)
-        cap, tol = FitConfig().max_iterations, FitConfig().rel_tolerance
         sums = np.zeros((3, config.m))
         means = []
         for r in range(config.r_replications):
             outputs = sim._one(
-                sim._mspe_chunk, r, config=config, max_iterations=cap, rel_tolerance=tol
+                sim._mspe_chunk, r, config=config, fit_config=FitConfig()
             )
             for total, values in zip(sums, outputs):
                 total += values
@@ -384,57 +383,56 @@ def _exp(x):
     return out[0]
 
 
-def _looped_emse(replicate, config, max_iterations, rel_tolerance, beta_init=None):
+def _looped_emse(replicate, config, fit_config):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
     Y = _exp(theta)
     zero = np.zeros_like(sigma)
     preds = [_exp(z)]
     for covariate, cov in ((W, zero), (w, zero), (w, sigma)):
         arr = _arrays.AreaArrays(z, covariate, psi, cov)
-        beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
+        beta, sigma2, *_ = _arrays.fit_core(arr, fit_config)
         preds.append(_arrays.predictions_and_m1(arr, beta, sigma2)[0])
     pred = np.stack(preds)
     return (pred - Y) ** 2, pred
 
 
-def _looped_zeros(replicate, config, max_iterations, rel_tolerance, beta_init=None):
+def _looped_zeros(replicate, config, fit_config):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
     zero = np.zeros_like(sigma)
     flags = []
     for covariate, cov in ((w, sigma), (w, zero), (W, zero)):
         arr = _arrays.AreaArrays(z, covariate, psi, cov)
-        flags.append(_arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)[4])
+        flags.append(_arrays.fit_core(arr, fit_config)[4])
     return tuple(flags)
 
 
-def _looped_misspec(
-    replicate, config, d_mis, max_iterations, rel_tolerance, beta_init=None
-):
+def _looped_misspec(replicate, config, d_mis, fit_config):
     W, theta, z, w, psi, sigma, me_idx = sim._draw_population(config, replicate)
     sigma_mis = np.zeros_like(sigma)
     sigma_mis[me_idx] = d_mis * np.eye(config.p)
     betas = []
     for cov in (sigma, sigma_mis):
         arr = _arrays.AreaArrays(z, w, psi, cov)
-        fit = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
+        fit = _arrays.fit_core(arr, fit_config)
         betas.append(float(fit[0][0]))
     return tuple(betas)
 
 
-def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=None):
+def _looped_mspe(replicate, config, fit_config):
     W, theta, z, w, psi, sigma, _ = sim._draw_population(config, replicate)
     Y = _exp(theta)
     arr = _arrays.AreaArrays(z, w, psi, sigma)
-    beta, sigma2, *_ = _arrays.fit_core(arr, max_iterations, rel_tolerance, beta_init)
+    beta, sigma2, *_ = _arrays.fit_core(arr, fit_config)
     pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     # the leave-one-out refits one at a time, each warm-started at beta,
     # their terms added in refit order
+    warm = dataclasses.replace(fit_config, beta_init=beta)
     m = config.m
     sum_m1, sum_sq = np.zeros(m), np.zeros(m)
     for j in range(m):
         kept = np.arange(m) != j
         loo = _arrays.AreaArrays(z[kept], w[kept], psi[kept], sigma[kept])
-        beta_j, sigma2_j, *_ = _arrays.fit_core(loo, max_iterations, rel_tolerance, beta)
+        beta_j, sigma2_j, *_ = _arrays.fit_core(loo, warm)
         pred_j, m1_j, _ = _arrays.predictions_and_m1(arr, beta_j, sigma2_j)
         sum_m1 += m1 - m1_j
         sum_sq += (pred - pred_j) ** 2
@@ -446,8 +444,7 @@ def _looped_mspe(replicate, config, max_iterations, rel_tolerance, beta_init=Non
         sigma2,
         config.b_bootstrap,
         rng.derive_seed(config.seed, replicate),
-        max_iterations,
-        rel_tolerance,
+        fit_config,
     )
     return (pred - Y) ** 2, jk_m1 + jk_m2, bt_m1 + bt_m2
 
@@ -480,7 +477,7 @@ FAILING_DESIGN = dict(
 def test_batched_variants_match_fitting_them_one_at_a_time(study):
     chunk_fn, looped, _, kwargs = STUDIES[study]
     config = cfg(**FAILING_DESIGN, b_bootstrap=6)
-    kwargs = dict(kwargs, config=config, max_iterations=200, rel_tolerance=1e-10)
+    kwargs = dict(kwargs, config=config, **FIT)
     failed = 0
     for r in range(40):
         try:
@@ -497,7 +494,8 @@ def test_batched_variants_match_fitting_them_one_at_a_time(study):
     assert 10 <= failed <= 30
 
 
-FIT = dict(max_iterations=200, rel_tolerance=1e-10)
+FIT_CONFIG = FitConfig(max_iterations=200, rel_tolerance=1e-10)
+FIT = dict(fit_config=FIT_CONFIG)
 
 
 @pytest.mark.parametrize("cells", [70, None], ids=["small_chunks", "default_chunks"])
@@ -545,18 +543,17 @@ def test_chunked_run_equals_the_replicates_one_at_a_time(
 def test_chunks_start_every_cold_fit_at_beta_init(study):
     chunk_fn, looped, _, kwargs = STUDIES[study]
     config = cfg(r_replications=3, b_bootstrap=6)
-    start = np.array([1.7])
+    started = dataclasses.replace(FIT_CONFIG, beta_init=np.array([1.7]))
     outputs, errors = sim._run_chunk(
         chunk_fn,
         range(config.r_replications),
         config=config,
-        beta_init=start,
+        fit_config=started,
         **kwargs,
-        **FIT,
     )
     assert errors == {}
     for r in range(config.r_replications):
-        want = looped(r, config=config, beta_init=start, **kwargs, **FIT)
+        want = looped(r, config=config, fit_config=started, **kwargs)
         for got, value in zip(outputs, want, strict=True):
             assert np.asarray(got[r]).tobytes() == np.asarray(value).tobytes()
 
@@ -571,13 +568,13 @@ def test_refits_run_only_for_replicates_with_no_error(monkeypatch):
         arr = _arrays.AreaArrays(z, w, psi, sigma)
         try:
             _exp(theta)
-            beta, sigma2, *_ = _arrays.fit_core(arr, **FIT)
+            beta, sigma2, *_ = _arrays.fit_core(arr, FIT_CONFIG)
             _arrays.predictions_and_m1(arr, beta, sigma2)
         except NumericalError:
             continue
         fitted.append(r)
         try:
-            mspe.jackknife_core(arr, beta, sigma2, **FIT)
+            mspe.jackknife_core(arr, beta, sigma2, FIT_CONFIG)
         except NumericalError:
             continue
         refitted.append(r)
