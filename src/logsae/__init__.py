@@ -8,6 +8,8 @@ raw-scale quantity, attaches leave-one-out and parametric-bootstrap MSPE
 estimates, and ships the Monte-Carlo studies used to validate them.
 """
 
+import importlib
+
 from .dataio import (
     DatasetSchema,
     RunManifest,
@@ -40,15 +42,23 @@ from .model import (
     predict_areas,
     shrinkage_gamma,
 )
-from .mspe import BootstrapMspe, JackknifeMspe, bootstrap_mspe, jackknife_mspe
-from .simulation import (
-    SimulationConfig,
-    SimulationReport,
-    misspecification_study,
-    run_emse_study,
-    run_mspe_study,
-    zero_proportion_study,
-)
+
+# name -> the module it comes from, imported on first use (PEP 562), so
+# that `fit` and `predict` load neither the resamplers nor the studies
+_LAZY = {
+    "mspe": "mspe",
+    "BootstrapMspe": "mspe",
+    "JackknifeMspe": "mspe",
+    "bootstrap_mspe": "mspe",
+    "jackknife_mspe": "mspe",
+    "simulation": "simulation",
+    "SimulationConfig": "simulation",
+    "SimulationReport": "simulation",
+    "misspecification_study": "simulation",
+    "run_emse_study": "simulation",
+    "run_mspe_study": "simulation",
+    "zero_proportion_study": "simulation",
+}
 
 __version__ = "0.1.0"
 
@@ -101,3 +111,17 @@ __all__ = [
     "load_dataset",
     "save_dataset",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    if name != _LAZY[name]:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -3,7 +3,9 @@
 Subcommands: ``fit``, ``predict``, ``mspe``, ``simulate``.  Every run
 writes its outputs plus a ``manifest.json`` into ``--out``: each
 ``cmd_*`` writes its outputs and returns what its manifest records, and
-`main` writes the manifest once the command has succeeded.  Exit codes:
+`main` writes the manifest once the command has succeeded.  `mspe` and
+`simulation` are imported by the commands that run them, so `fit` and
+`predict` start without loading either.  Exit codes:
 0 success, 2 usage, 3 data error, 4 numerical error; failures print a
 single JSON line ``{"error": <class>, "message": ...}`` to stderr.
 """
@@ -19,11 +21,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, dataio, parallel, simulation
+from . import __version__, dataio, parallel
 from .errors import DataError, NumericalError, ParseError
 from .estimation import ModelFit, fit
 from .model import ModelParams, predict_areas
-from .mspe import bootstrap_mspe, check_bootstrap_args, jackknife_mspe
 
 
 def _utc_now() -> str:
@@ -128,6 +129,8 @@ def cmd_predict(args):
 
 
 def cmd_mspe(args):
+    from .mspe import bootstrap_mspe, check_bootstrap_args, jackknife_mspe
+
     if args.method == "bootstrap":  # a usage error, before the dataset is read
         check_bootstrap_args(args.b, args.seed)
     data = dataio.load_arrays(args.dataset)
@@ -165,7 +168,7 @@ def cmd_mspe(args):
     return config, seed, args.dataset, workers
 
 
-def _write_report(report: simulation.SimulationReport, out: str) -> None:
+def _write_report(report, out: str) -> None:
     out = _ensure_out(out)
     dataio.write_json(report.to_json_dict(), os.path.join(out, "report.json"))
     for name, columns in report.tables.items():
@@ -173,6 +176,8 @@ def _write_report(report: simulation.SimulationReport, out: str) -> None:
 
 
 def cmd_simulate(args):
+    from . import simulation
+
     workers = parallel.resolve_workers(args.workers)
     zeros, misspec = args.study == "zeros", args.study == "misspec"
     if args.d_mis is not None and not misspec:

@@ -38,11 +38,13 @@ class FitConfig:
     ``max_iterations`` steps.  ``beta_init`` overrides the default
     starting value (the unweighted solve of the moment equation, i.e. all
     ``D_i = 1``); the resamplers' refits start at their full fit instead.
+    It is kept as a tuple of floats, so a config neither follows later
+    changes to the caller's array nor stops comparing and hashing.
     """
 
     max_iterations: int = 200
     rel_tolerance: float = 1e-10
-    beta_init: np.ndarray | None = None
+    beta_init: tuple[float, ...] | None = None
 
     def __post_init__(self):
         cap, tol = self.max_iterations, self.rel_tolerance
@@ -64,6 +66,7 @@ class FitConfig:
                 raise ValueError(
                     f"beta_init must be finite real numbers, got {self.beta_init!r}"
                 )
+            object.__setattr__(self, "beta_init", tuple(start.astype(float).tolist()))
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,10 @@ def _refit_sums(batch, owners, draw, beta, terms, config):
         own = owners[rows]
         fit = _arrays.fit_batch(draw(rows), config, beta[own])
         refit = np.flatnonzero(fit.ok)
+        # one dataset serves every row's parameters; n datasets go row by row
+        areas = _arrays.select_rows(batch, 0 if n == 1 else own[refit])
         pred, m1, _, errors = _arrays.predict_batch(
-            _arrays.select_rows(batch, own[refit]), fit.beta[refit], fit.sigma2[refit]
+            areas, fit.beta[refit], fit.sigma2[refit]
         )
         keep = _arrays.ok_rows(len(refit), errors)
         capped += int(np.count_nonzero(~fit.converged[refit][keep]))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_areas, random_dataset
-from logsae import cli, errors
+from logsae import cli, errors, mspe
 from logsae.cli import main
 from logsae.dataio import save_dataset, sha256_file
 
@@ -754,7 +754,7 @@ def test_a_command_that_fails_after_making_its_out_directory_writes_no_manifest(
     def fail(*args, **kwargs):
         raise errors.SingularMomentMatrix("synthetic failure")
 
-    monkeypatch.setattr(cli, "jackknife_mspe", fail)
+    monkeypatch.setattr(mspe, "jackknife_mspe", fail)
     out = tmp_path / "out"
     assert main(["mspe", str(dataset), "--method", "jackknife", "--out", str(out)]) == 4
     assert out.is_dir() and not (out / "manifest.json").exists()

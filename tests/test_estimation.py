@@ -184,6 +184,22 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="^beta_init must be finite real numbers"):
             FitConfig(beta_init=start)
 
+    @pytest.mark.parametrize("kind", [np.array, list])
+    def test_a_start_does_not_follow_the_callers_object(self, kind):
+        start = kind([1.0])
+        config = FitConfig(beta_init=start)
+        start[0] = math.nan
+        assert config.beta_init == (1.0,) and type(config.beta_init[0]) is float
+
+    def test_configs_with_equal_starts_compare_equal(self):
+        a = FitConfig(beta_init=np.array([1.0, 2.0]))
+        assert a == FitConfig(beta_init=[1, 2.0])
+        assert a != FitConfig(beta_init=[1.0, 3.0])
+
+    def test_a_config_with_a_start_hashes(self):
+        a = FitConfig(beta_init=np.array([1.0, 2.0]))
+        assert hash(a) == hash(FitConfig(beta_init=(1.0, 2.0)))
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(5, 30), p=st.integers(1, 2))

@@ -55,13 +55,18 @@ def test_the_cli_reads_only_public_names_of_the_package_modules():
     # `from . import simulation` is public; `simulation._grid` is not
     import logsae.cli
 
+    with open(logsae.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
     modules = {
         name
         for name, value in vars(logsae.cli).items()
         if isinstance(value, types.ModuleType) and value.__name__.startswith("logsae")
+    } | {  # and the modules a command imports inside its own function
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
     }
-    with open(logsae.cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
     reads = [
         f"{node.value.id}.{node.attr}"
         for node in ast.walk(tree)

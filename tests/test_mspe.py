@@ -473,3 +473,24 @@ class TestJackknifeReduction:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.6 * peaks[0]
+
+
+@pytest.mark.parametrize("method", ["jackknife", "bootstrap"])
+def test_refits_of_one_dataset_are_predicted_on_it_not_on_copies(method, monkeypatch):
+    # every refit of a single dataset predicts on that dataset's areas, so
+    # `predict_batch` takes it once for all the refits' parameters
+    z, w, psi, sigma = small_dataset(seed=5, m=6)
+    areas = make_areas(z, w, psi, sigma)
+    full = fit(areas)
+    real, shapes = _arrays.predict_batch, []
+
+    def recorded(arr, beta, sigma2):
+        shapes.append(arr.z.shape)
+        return real(arr, beta, sigma2)
+
+    monkeypatch.setattr(_arrays, "predict_batch", recorded)
+    if method == "jackknife":
+        jackknife_mspe(areas, full)
+    else:
+        bootstrap_mspe(areas, full, b=8, seed=1)
+    assert len(shapes) >= 2 and set(shapes) == {(6,)}

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logsae
+from conftest import make_areas, random_dataset
 from logsae import rng
+from logsae.dataio import save_dataset
 from logsae.parallel import ENV_WORKERS, ordered_map, resolve_workers
 
 
@@ -135,3 +137,38 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == []
+
+
+def _loaded(code, *args):
+    # the modules of ('logsae.simulation', 'logsae.mspe', 'logsae.rng',
+    # 'logging') that a fresh interpreter holds after running ``code``
+    src = os.path.dirname(os.path.dirname(logsae.__file__))
+    code += (
+        "; print(' '.join(m for m in ('logsae.simulation', 'logsae.mspe', "
+        "'logsae.rng', 'logging') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.split()
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # `fit` and `predict` run no resampler or study, so loading them would
+    # only add to every run's start-up time and peak memory
+    assert _loaded("import sys, logsae.cli") == []
+    gen = np.random.default_rng(5)
+    z, w, psi, sigma = random_dataset(gen, m=8, p=1, with_sigma=False)
+    save_dataset(make_areas(z, w, psi, sigma), tmp_path / "areas.csv")
+    run_mspe = (
+        "import sys; from logsae.cli import main; "
+        "assert main(['mspe', sys.argv[1], '--method', 'jackknife', "
+        "'--out', sys.argv[2]]) == 0"
+    )
+    loaded = _loaded(run_mspe, str(tmp_path / "areas.csv"), str(tmp_path / "out"))
+    assert "logsae.mspe" in loaded and "logsae.simulation" not in loaded
