@@ -178,35 +178,23 @@ def _solve(batch: AreaArrays, moment: np.ndarray, weights: np.ndarray):
             errors[b] = SingularMomentMatrix(
                 "moment system has non-finite entries", index=first.get(b)
             )
-    if batch.p == 1:
-        # a nonzero 1x1 system has condition number 1; dividing gives
-        # np.linalg.solve's bits without a LAPACK call per matrix
-        singular = a[:, 0, 0] == 0.0
-        if singular.any():
-            a[singular] = 1.0
-            for b in np.flatnonzero(singular).tolist():
-                errors[b] = SingularMomentMatrix(_singular_message(0.0))
-        with np.errstate(over="ignore"):  # as np.linalg.solve, which never warns
-            return rhs / a[:, 0], errors
-    s = np.linalg.svd(a, compute_uv=False)
+    # singular values, largest first; a 1x1 system's one is |a|
+    s = np.abs(a[:, 0]) if batch.p == 1 else np.linalg.svd(a, compute_uv=False)
     smallest = s[:, -1]
-    if smallest.all():
-        singular = s[:, 0] / smallest > _COND_LIMIT
-    else:
-        zero = smallest == 0.0
-        singular = zero | (s[:, 0] / np.where(zero, 1.0, smallest) > _COND_LIMIT)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        singular = (smallest == 0.0) | (s[:, 0] / smallest > _COND_LIMIT)
     if singular.any():
         a[singular] = np.eye(batch.p)
         for b in np.flatnonzero(singular).tolist():
-            errors[b] = SingularMomentMatrix(_singular_message(s[b, -1]))
+            errors[b] = SingularMomentMatrix(
+                "weighted moment matrix is numerically singular "
+                f"(smallest singular value {smallest[b]:.3e})"
+            )
+    if batch.p == 1:
+        # dividing gives np.linalg.solve's bits without a LAPACK call per matrix
+        with np.errstate(over="ignore"):  # as np.linalg.solve, which never warns
+            return rhs / a[:, 0], errors
     return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], errors
-
-
-def _singular_message(smallest) -> str:
-    return (
-        f"weighted moment matrix is numerically singular "
-        f"(smallest singular value {smallest:.3e})"
-    )
 
 
 def weights_batch(batch: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
@@ -308,6 +296,7 @@ def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
     leaving[list(errors)] = True
     iteration = 0
     while True:
+        leaving |= iteration == config.max_iterations  # the cap stops the rest
         if leaving.any():  # record finished replicates and drop them
             done = rows[leaving]
             out_beta[done], out_sigma2[done] = beta[leaving], sigma2[leaving]
@@ -315,7 +304,7 @@ def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
             stay = ~leaving
             rows, batch, moment = rows[stay], select_rows(batch, stay), moment[stay]
             beta, sigma2, truncated = beta[stay], sigma2[stay], truncated[stay]
-        if not rows.size or iteration == config.max_iterations:
+        if not rows.size:
             break
         iteration += 1
         weights, weight_errors = weights_batch(batch, beta, sigma2)
@@ -333,9 +322,6 @@ def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
             leaving[list(failed)] = True
             step[list(failed)] = np.inf
         converged[rows[step < config.rel_tolerance]] = True
-    # the replicates left stopped at the iteration cap
-    out_beta[rows], out_sigma2[rows], out_truncated[rows] = beta, sigma2, truncated
-    iterations[rows] = iteration
     return BatchFit(
         beta=out_beta,
         sigma2=out_sigma2,

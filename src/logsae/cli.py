@@ -131,10 +131,11 @@ def cmd_predict(args):
 def cmd_mspe(args):
     from .mspe import bootstrap_mspe, check_bootstrap_args, jackknife_mspe
 
-    if args.method == "bootstrap":  # a usage error, before the dataset is read
+    # usage errors, before the dataset is read
+    if args.method == "bootstrap":
         check_bootstrap_args(args.b, args.seed)
-    data = dataio.load_arrays(args.dataset)
     workers = parallel.resolve_workers(args.workers)
+    data = dataio.load_arrays(args.dataset)
     model_fit = fit(data)
     out = _ensure_out(args.out)
     if args.method == "jackknife":

@@ -87,6 +87,17 @@ def _check_psd(sig: np.ndarray, context) -> None:
     raise NonPsdSigma(f"{context(i)}: {problem}")
 
 
+def _check_variances(name, sig: np.ndarray, psi) -> float:
+    """``psi`` as a float, after checking one area's variances: ValueError
+    for a ``psi`` not finite and >= 0, then `_check_psd` on its covariance
+    ``sig`` (p, p).  ``name`` starts each message."""
+    psi = float(psi)
+    if not math.isfinite(psi) or psi < 0.0:
+        raise ValueError(f"{name}: psi must be finite and >= 0")
+    _check_psd(sig[None], lambda i: name)
+    return psi
+
+
 @dataclass(frozen=True)
 class AreaObservation:
     """One small area's inputs.
@@ -125,12 +136,9 @@ class AreaObservation:
                 f"{self.area_id}: sigma_me shape {sig.shape} does not match p={w.size}"
             )
         z = float(self.z)
-        psi = float(self.psi)
         if not math.isfinite(z):
             raise ValueError(f"{self.area_id}: z must be finite")
-        if not math.isfinite(psi) or psi < 0.0:
-            raise ValueError(f"{self.area_id}: psi must be finite and >= 0")
-        _check_psd(sig[None], lambda i: self.area_id)
+        psi = _check_variances(self.area_id, sig, self.psi)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "w", w)
@@ -325,14 +333,23 @@ def shrinkage_gamma(params: ModelParams, sigma_me: np.ndarray, psi: float) -> fl
 
     Raises
     ------
+    ValueError
+        If ``sigma_me`` is not a square matrix, ``beta`` does not have its
+        p entries, or ``psi`` is not finite and >= 0.
+    NonPsdSigma
+        If ``sigma_me`` is not finite, symmetric and positive semi-definite,
+        as `AreaObservation` requires.
     DegenerateVariance
         If numerator and ``psi`` are both zero: with every variance gone
         there is no weighting to define.
     """
-    sig = np.asarray(sigma_me, dtype=float)[None]
-    beta = _check_beta(params.beta, sig.shape[-1])
+    sig = np.asarray(sigma_me, dtype=float)
+    if sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
+        raise ValueError(f"area: sigma_me has shape {sig.shape}, not (p, p)")
+    beta = _check_beta(params.beta, len(sig))
+    psi = _check_variances("area", sig, psi)
     gamma, errors = _arrays.gamma_batch(
-        sig, np.array([psi], dtype=float), beta[None], np.array([params.sigma2_nu])
+        sig[None], np.array([psi]), beta[None], np.array([params.sigma2_nu])
     )
     _arrays.raise_first(errors)
     return float(gamma[0, 0])

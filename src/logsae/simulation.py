@@ -284,9 +284,11 @@ def _run_grid(fn, cells, fit_config, width, reduce, **kwargs):
 def grid_cells(
     config: SimulationConfig, m_values, k_values
 ) -> list[SimulationConfig]:
-    """``config`` with each (m, k) of a study grid, m-major.  A repeated
-    m or k is a usage error: `ValueError` naming the value."""
+    """``config`` with each (m, k) of a study grid, m-major.  An empty or
+    a repeated m or k is a usage error: `ValueError` naming it."""
     for name, values in (("m", m_values), ("k", k_values)):
+        if not len(values):
+            raise ValueError(f"no {name} value given; a study grid needs one")
         repeats = [v for i, v in enumerate(values) if v in values[:i]]
         if repeats:
             raise ValueError(f"{name} value {repeats[0]:g} is repeated")

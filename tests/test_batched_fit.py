@@ -246,3 +246,85 @@ def test_broadcast_psi_and_sigma_fit_as_copies_and_alone(seed, m, p, b, warm):
         assert not single.errors
         for name in fields:
             assert getattr(single, name)[0].tobytes() == getattr(fit, name)[k].tobytes()
+
+
+def _system(gen, kind, p):
+    # a p x p moment matrix of the given kind, scaled and with its rows
+    # and columns permuted; + 0.0 keeps -0.0 out of the bits compared
+    if kind == "regular":
+        a = gen.normal(0.0, 1.0, size=(p, p)) + 3.0 * np.eye(p)
+    elif kind == "singular":
+        a = gen.normal(0.0, 1.0, size=(p, p))
+        a[:, gen.integers(p)] = 0.0  # smallest singular value 0
+    else:  # "over": condition number 1e17, past the limit
+        a = np.diag(np.r_[np.ones(p - 1), 1e-17])
+    order = gen.permutation(p)
+    return 10.0 ** gen.uniform(-3.0, 3.0) * a[order][:, order] + 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(["regular", "singular", "over"]), min_size=1, max_size=8),
+)
+def test_one_singularity_rule_for_every_p(seed, p, kinds):
+    # one area of weight 1, covariate rhs and z = 1: the moment system is
+    # a x = rhs.  A row is singular when its smallest singular value is 0
+    # or its condition number passes _COND_LIMIT; a 1x1 system's one
+    # singular value is |a|, so only a == 0 is singular at p = 1
+    gen = np.random.default_rng(seed)
+    n = len(kinds)
+    a = np.stack([_system(gen, kind, p) for kind in kinds])
+    rhs = gen.normal(0.0, 1.0, size=(n, p)) + 0.0
+    batch = _arrays.AreaArrays(
+        z=np.ones((n, 1)),
+        w=rhs[:, None, :],
+        psi=np.zeros((n, 1)),
+        sigma=np.zeros((n, 1, p, p)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta, errors = _arrays._solve(batch, a[:, None], np.ones((n, 1)))
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        singular = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > _arrays._COND_LIMIT)
+    assert sorted(errors) == np.flatnonzero(singular).tolist()
+    for b, exc in errors.items():
+        assert isinstance(exc, SingularMomentMatrix) and exc.index is None
+        assert str(exc) == (
+            "weighted moment matrix is numerically singular "
+            f"(smallest singular value {s[b, -1]:.3e})"
+        )
+    ok = ~singular
+    expected = np.linalg.solve(a[ok], rhs[ok, :, None])[:, :, 0]
+    assert beta.shape == (n, p)
+    assert beta[ok].tobytes() == expected.tobytes()
+
+
+def test_rows_at_the_cap_leave_as_rows_that_converge_or_fail():
+    gen = np.random.default_rng(20261022)
+    b, m, p = 8, 10, 2
+    psi, sigma = shared_areas(gen, m, p)
+    z, w = draw(gen, (b, m), p)
+    batch = _arrays.AreaArrays(z, w, copies(psi, b), copies(sigma, b))
+    batch.w[5], batch.sigma[5] = 0.0, 0.0  # fails at its cold start
+    natural = _arrays.fit_batch(batch, CONFIG).iterations
+    cap = int(np.median(np.delete(natural, 5)))
+    capped = np.flatnonzero(natural > cap)  # row 5 stopped at iteration 0
+    assert 0 < len(capped) < b - 1  # some rows stop at the cap, some converge
+    config = dataclasses.replace(CONFIG, max_iterations=cap)
+    fit = _arrays.fit_batch(batch, config)
+    assert set(fit.errors) == {5}
+    expected = np.ones(b, dtype=bool)
+    expected[[*capped, 5]] = False
+    assert fit.converged.tolist() == expected.tolist()
+    assert (fit.iterations[capped] == cap).all()
+    for k in range(b):
+        single = _arrays.fit_batch(_arrays.batch_of_one(replicate(batch, k)), config)
+        if k == 5:
+            assert str(single.errors[0]) == str(fit.errors[5])
+            continue
+        assert not single.errors
+        for name in ("beta", "sigma2", *COUNTS):
+            assert getattr(single, name)[0].tobytes() == getattr(fit, name)[k].tobytes()

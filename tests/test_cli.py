@@ -125,6 +125,29 @@ def test_bad_bootstrap_option_exits_two_before_the_dataset_is_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["jackknife", "bootstrap"])
+@pytest.mark.parametrize(
+    "option, env, message",
+    [
+        (["--workers", "0"], None, "n_workers must be >= 1, got 0"),
+        ([], "0", "LOGSAE_WORKERS must be >= 1, got 0"),
+    ],
+    ids=["option", "env"],
+)
+def test_bad_worker_count_exits_two_before_the_dataset_is_read(
+    tmp_path, capsys, monkeypatch, method, option, env, message
+):
+    if env is not None:
+        monkeypatch.setenv("LOGSAE_WORKERS", env)
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.csv"
+    argv = ["mspe", str(missing), "--method", method, *option, "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+    assert not (out / "manifest.json").exists()
+
+
 def test_mspe_jackknife_writes_rows(dataset, tmp_path):
     out = tmp_path / "jk"
     assert main(["mspe", str(dataset), "--method", "jackknife", "--out", str(out)]) == 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,33 @@ class TestShrinkageGamma:
         params = ModelParams(beta=np.array([0.0]), sigma2_nu=0.0)
         with pytest.raises(DegenerateVariance):
             shrinkage_gamma(params, np.array([[0.0]]), 0.0)
+
+    # the area checks `AreaObservation` makes, on the same inputs
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,)])
+    def test_sigma_me_that_is_not_square_is_rejected(self, shape):
+        params = ModelParams(beta=np.array([1.0, 2.0]), sigma2_nu=1.0)
+        message = f"area: sigma_me has shape {shape}, not (p, p)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shrinkage_gamma(params, np.zeros(shape), 1.0)
+
+    def test_negative_variance_is_rejected(self):
+        params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
+        with pytest.raises(NonPsdSigma, match=r"^area: negative variance -1\.0$"):
+            shrinkage_gamma(params, np.array([[-1.0]]), 1.0)
+
+    def test_infinite_variance_is_rejected(self):
+        params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
+        message = r"^area: covariance has non-finite entries$"
+        with pytest.raises(NonPsdSigma, match=message):
+            shrinkage_gamma(params, np.array([[np.inf]]), 1.0)
+
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -5.0])
+    def test_psi_that_is_not_finite_and_nonnegative_is_rejected(self, psi):
+        params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
+        message = r"^area: psi must be finite and >= 0$"
+        with pytest.raises(ValueError, match=message):
+            shrinkage_gamma(params, np.array([[0.0]]), psi)
 
 
 class TestEbPredict:

@@ -654,6 +654,18 @@ class TestGrid:
                 cfg(m=8), d_mis=4.0, k_values=[0.0, 0.0]
             )
 
+    def test_empty_values_rejected_before_any_replicate(self, monkeypatch):
+        def fail(config, replicate):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "_draw_population", fail)
+        with pytest.raises(ValueError, match="^no m value given"):
+            sim.zero_proportion_study(cfg(m=8), m_values=[], k_values=(0.0,))
+        with pytest.raises(ValueError, match="^no k value given"):
+            sim.zero_proportion_study(cfg(m=8), m_values=(8,), k_values=())
+        with pytest.raises(ValueError, match="^no k value given"):
+            sim.misspecification_study(cfg(m=8), d_mis=4.0, k_values=[])
+
     def test_cells_are_m_major(self):
         cells = sim.grid_cells(cfg(m=8), (8, 12), (0.0, 50.0))
         assert [(c.m, c.k_percent) for c in cells] == [
