@@ -17,10 +17,11 @@ raise on its own and stops; the others go on, and the kernel returns
 `batch_of_one` makes one dataset a batch, and `select_rows` takes
 replicates, or areas of them, from a batch.
 
-Three single-dataset views remain, each a batch kernel plus
-`raise_first`: `fit_core`, `weighted_solve` and `predictions_and_m1`.
-perfbench traces them by name, so they stay until it is re-pointed at the
-batch kernels (ROADMAP item 3).
+Three one-dataset views remain, each a batch kernel on a batch of one
+plus `raise_first`: `fit_core` (of `fit_batch`), `weighted_solve` (of
+`_solve`) and `predictions_and_m1` (of `predict_batch`).  perfbench
+traces them by name, so they stay until it is re-pointed at the batch
+kernels (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def sigma2_batch(batch: AreaArrays, beta: np.ndarray):
 
 
 def weighted_solve(arr: AreaArrays, weights: np.ndarray) -> np.ndarray:
+    """`_solve` of one dataset at ``weights`` (m,), with its error raised:
+    a one-dataset view that perfbench traces by name."""
     one = batch_of_one(arr)
     beta, errors = _solve(one, _moment(one), weights[None])
     raise_first(errors)
@@ -258,18 +261,21 @@ class BatchFit:
 
 
 def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
-    """`fit_core` on B datasets at once.
+    """Fit B datasets at once: alternate the weighted regression solve and
+    the variance moment, with the settings of ``config``, an
+    `estimation.FitConfig`.
 
     ``batch`` holds the B datasets, with the replicate axis on every
     field: ``z`` (B, m), ``w`` (B, m, p), ``psi`` (B, m) and ``sigma``
-    (B, m, p, p).  ``config``, an `estimation.FitConfig`, holds the
-    stopping rule and the cold start.  ``beta_init``, if given, replaces
-    ``config.beta_init`` as one start (p,) for every replicate or one per
+    (B, m, p, p).  The weights for each sweep come from the previous full
+    iterate; convergence is a relative step below ``config.rel_tolerance``
+    jointly over beta and sigma2.  The cold start is ``config.beta_init``
+    or, if that is None, the solve with unit weights.  ``beta_init``, if
+    given, replaces it as one start (p,) for every replicate or one per
     replicate (B, p): the resamplers warm-start each refit at its own full
-    fit.  Each replicate takes the steps that `fit_core` takes on it alone
-    and stops at its own convergence or at ``config.max_iterations``; one
-    that fails a check stops with that error in ``errors`` and the rest
-    go on.
+    fit.  Each replicate takes the steps it would take alone and stops at
+    its own convergence or at ``config.max_iterations``; one that fails a
+    check stops with that error in ``errors`` and the rest go on.
     """
     m, p = batch.m, batch.p
     if m <= p:
@@ -333,14 +339,9 @@ def fit_batch(batch: AreaArrays, config, beta_init=None) -> BatchFit:
 
 
 def fit_core(arr: AreaArrays, config) -> tuple[np.ndarray, float, int, bool, bool]:
-    """Alternate the weighted regression solve and the variance moment,
-    with the settings of ``config``, an `estimation.FitConfig`.
-
-    Returns (beta, sigma2, iterations, converged, truncated).  The weights
-    for each sweep come from the previous full iterate; convergence is a
-    relative step below ``config.rel_tolerance`` jointly over beta and
-    sigma2.  This is `fit_batch` on one dataset.
-    """
+    """`fit_batch` on one dataset, with its error raised: (beta, sigma2,
+    iterations, converged, truncated).  A one-dataset view that perfbench
+    traces by name."""
     fit = fit_batch(batch_of_one(arr), config)
     raise_first(fit.errors)
     return (
@@ -357,21 +358,24 @@ def fit_core(arr: AreaArrays, config) -> tuple[np.ndarray, float, int, bool, boo
 
 def gamma_batch(sigma, psi, beta: np.ndarray, sigma2: np.ndarray):
     """Shrinkage weights (B, m) for betas (B, p) and sigma2s (B,), and
-    {row: error} for the rows with a denominator that is not positive."""
+    {row: error} for the rows with a denominator that is not positive and
+    finite; a flagged weight is a finite placeholder."""
     num = quad_form(sigma, beta) + sigma2[:, None]
     den = num + psi
-    degenerate = den <= 0.0
+    bad = ~((den > 0.0) & (den < np.inf))
     errors = {
-        b: DegenerateVariance("beta'sigma_me beta + sigma2_nu + psi == 0", index=i)
-        for b, i in _first_flags(degenerate)
+        b: DegenerateVariance(
+            f"beta'sigma_me beta + sigma2_nu + psi == {den[b, i]:.6g}", index=i
+        )
+        for b, i in _first_flags(bad)
     }
-    return num / np.where(degenerate, 1.0, den), errors
+    return np.where(bad, 0.0, num) / np.where(bad, 1.0, den), errors
 
 
 def exp_batch(x: np.ndarray):
     """exp(x) for (B, m) exponents and {row: error} for the rows with an
-    exponent outside the double range."""
-    bad = (x > _EXP_MAX) | (x < _EXP_MIN)
+    exponent outside the double range, NaN included."""
+    bad = ~((x >= _EXP_MIN) & (x <= _EXP_MAX))
     errors = {
         b: PredictionOverflow(
             f"exponent {x[b, i]:.6g} is outside the representable range "
@@ -414,12 +418,13 @@ def conditional_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
 
 
 def predict_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
-    """`predictions_and_m1` for B parameter sets, beta (B, p) and sigma2
+    """Positive-scale predictions exp(mean + var / 2), their m1 terms and
+    the shrinkage weights for B parameter sets, beta (B, p) and sigma2
     (B,), on the same areas.
 
     Returns (B, m) predictions, m1 terms and gammas, and {row: error} for
-    the parameter sets that fail a check, each the error
-    `predictions_and_m1` raises for that set alone.
+    the parameter sets that fail a check, each the error that set alone
+    gets.
     """
     mean, var, g, errors = conditional_batch(arr, beta, sigma2)
     pred, pred_errors = exp_batch(mean + 0.5 * var)
@@ -430,8 +435,8 @@ def predict_batch(arr: AreaArrays, beta: np.ndarray, sigma2: np.ndarray):
 def predictions_and_m1(
     arr: AreaArrays, beta: np.ndarray, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive-scale predictions, their conditional-variance terms, and the
-    shrinkage weights, all evaluated at the given parameters."""
+    """`predict_batch` on one parameter set, with its error raised: a
+    one-dataset view that perfbench traces by name."""
     beta = np.asarray(beta, dtype=float)
     pred, m1, g, errors = predict_batch(arr, beta[None], np.array([sigma2]))
     raise_first(errors)

@@ -45,7 +45,8 @@ class NumericalError(LogsaeError):
 
 
 class DegenerateVariance(NumericalError):
-    """Every variance component is zero, so shrinkage is undefined."""
+    """The variance total of an area is zero (every component is) or not
+    finite, so its shrinkage is undefined."""
 
 
 class SingularMomentMatrix(NumericalError):

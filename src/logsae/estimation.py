@@ -99,7 +99,7 @@ def solve_beta(areas, params_current: ModelParams) -> np.ndarray:
             arr, beta[None], np.array([params_current.sigma2_nu])
         )
         _arrays.raise_first(errors)
-    return _arrays.weighted_solve(arr, weights[0])
+        return _arrays.weighted_solve(arr, weights[0])
 
 
 def estimate_sigma2(areas, beta) -> tuple[float, bool]:

@@ -234,11 +234,8 @@ def check_bootstrap_args(b, seed) -> None:
 
 def bootstrap_core(arr, beta, sigma2, b, seed, config):
     """Bias-corrected m1, m2* and the number of replicates used and, of
-    those, refits that stopped at the iteration cap."""
-    m, p = arr.m, arr.p
-    if m <= p:
-        raise InsufficientAreas(f"need at least {p + 1} areas to refit, got {m}")
-    check_bootstrap_args(b, seed)
+    those, refits that stopped at the iteration cap.  ``b`` and ``seed``
+    come checked (`check_bootstrap_args`); `fit_batch` refuses m <= p."""
     pred, m1, _ = _arrays.predictions_and_m1(arr, beta, sigma2)
     factors = _psd_factors(arr.sigma)
 
@@ -280,8 +277,10 @@ def bootstrap_mspe(
     bit-reproducible.
     Replicates whose refit fails are dropped and counted; the failure
     rate is logged, and so is the number of refits used that stopped at
-    the iteration cap.
+    the iteration cap.  A bad ``b`` or ``seed`` raises ValueError before
+    the areas are read.
     """
+    check_bootstrap_args(b, seed)
     ids, (m1_bc, m2_star, used, capped) = _resample(
         bootstrap_core, areas, full_fit, config, b, seed
     )

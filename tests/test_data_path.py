@@ -4,6 +4,7 @@ API returns."""
 
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,14 @@ def test_the_constructor_names_the_first_bad_row_and_its_column(case):
         Dataset.from_columns(*columns.values())
     assert type(exc.value) is cls
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("w_shape", [(4,), (4, 0)])
+def test_covariates_that_are_not_an_m_by_p_matrix_are_refused(w_shape):
+    ids, z, _, psi, sigma = _columns(1)
+    message = f"column 'w' has shape {w_shape}, not (m, p) with p >= 1"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        Dataset.from_columns(ids, z, np.zeros(w_shape), psi, sigma)
 
 
 def test_a_row_is_named_by_its_first_failed_check():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import math
 import os
 import tempfile
@@ -64,6 +65,7 @@ class TestSchemaInference:
             (["area_id", "z", "w_1", "w_2", "psi", "sme_1_1", "sme_2_2"], "sme_2_1"),
             (["area_id", "z", "w_1", "psi", "sme_diag_1", "oops"], "unrecognized"),
             (["area_id", "z", "z", "w_1", "psi", "sme_diag_1"], "duplicate"),
+            (["z", "w_1", "psi", "sme_diag_1"], "^missing required column 'area_id'$"),
         ],
     )
     def test_bad_headers_pinpointed(self, fields, fragment):
@@ -628,6 +630,15 @@ class TestWriteJson:
         path = tmp_path / "report.json"
         with pytest.raises((TypeError, ValueError)):
             write_json({"a": 1.0, "b": [2.0, bad]}, path)
+        assert not path.exists()
+
+    def test_a_key_json_cannot_hold_raises_its_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError) as want:
+            json.dumps({(1, 2): 1}, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            write_json({(1, 2): 1}, path)
+        assert str(got.value) == str(want.value)
         assert not path.exists()
 
     def test_bytes(self, tmp_path):

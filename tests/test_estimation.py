@@ -38,6 +38,17 @@ class TestSolveBeta:
             solve_beta(areas, params)
 
 
+    def test_a_moment_system_that_overflows_names_its_area(self):
+        w = np.ones((12, 1))
+        w[3, 0] = 1e200
+        areas = make_areas(z=np.arange(12.0), w=w, psi=np.full(12, 0.5))
+        params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
+        message = "^a3: moment system has non-finite entries$"
+        with pytest.raises(SingularMomentMatrix, match=message) as exc:
+            solve_beta(areas, params)
+        assert exc.value.index == 3
+
+
 class TestEstimateSigma2:
     def test_residuals_swallowed_by_psi(self):
         areas = make_areas(z=[1.0, 2.0, 3.0], w=[[1.0], [2.0], [3.0]], psi=[2.0] * 3)

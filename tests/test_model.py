@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestAreaObservation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             obs_1d(z=float("nan"))
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (np.zeros((1, 1)), "w must be a non-empty 1-D vector"),
+            (np.zeros(0), "w must be a non-empty 1-D vector"),
+            (np.array([1.0, np.nan]), "w has non-finite entries"),
+        ],
+        ids=["2-D", "empty", "nan"],
+    )
+    def test_covariate_that_is_not_a_finite_vector_rejected(self, w, message):
+        with pytest.raises(ValueError, match=f"^a: {message}$"):
+            AreaObservation(area_id="a", z=0.0, w=w, psi=1.0, sigma_me=np.zeros((1, 1)))
 
     def test_zero_diagonal_sigma_accepted(self):
         # a PSD matrix with a zero diagonal entry is fine
@@ -137,6 +151,21 @@ def test_stacked_psd_check_matches_one_area_at_a_time(seed, p, kinds):
     assert str(exc.value) == f"area {first}: {problems[first]}"
 
 
+class TestModelParams:
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            ([[1.0]], "beta must be a non-empty 1-D vector"),
+            ([], "beta must be a non-empty 1-D vector"),
+            ([1.0, math.inf], "beta has non-finite entries"),
+        ],
+        ids=["2-D", "empty", "inf"],
+    )
+    def test_beta_that_is_not_a_finite_vector_rejected(self, beta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelParams(beta=beta, sigma2_nu=1.0)
+
+
 class TestShrinkageGamma:
     def test_zero_numerator(self):
         params = ModelParams(beta=np.array([0.0]), sigma2_nu=0.0)
@@ -185,6 +214,28 @@ class TestShrinkageGamma:
             shrinkage_gamma(params, np.array([[0.0]]), psi)
 
 
+    def test_an_area_fault_is_reported_before_a_beta_length_fault(self):
+        params = ModelParams(beta=np.array([1.0]), sigma2_nu=1.0)
+        with pytest.raises(ValueError, match=r"^area: psi must be finite and >= 0$"):
+            shrinkage_gamma(params, np.zeros((2, 2)), -1.0)
+        with pytest.raises(ValueError, match=r"^beta has shape \(1,\) but the areas have p=2$"):
+            shrinkage_gamma(params, np.zeros((2, 2)), 1.0)
+
+    def test_a_total_that_overflows_is_degenerate(self):
+        params = ModelParams(beta=np.array([1e155]), sigma2_nu=1.0)
+        message = r"^beta'sigma_me beta \+ sigma2_nu \+ psi == inf$"
+        with pytest.raises(DegenerateVariance, match=message):
+            shrinkage_gamma(params, np.array([[1.0]]), 1.0)
+
+
+def test_exp_batch_refuses_a_nan_exponent():
+    pred, errors = _arrays.exp_batch(np.array([[0.0, 1.0], [0.5, np.nan]]))
+    assert list(errors) == [1]
+    assert isinstance(errors[1], PredictionOverflow) and errors[1].index == 1
+    assert str(errors[1]).startswith("exponent nan is outside the representable range")
+    assert np.isfinite(pred).all()
+
+
 class TestEbPredict:
     def test_full_shrinkage_to_zero_mean(self):
         params = ModelParams(beta=np.array([0.0]), sigma2_nu=0.0)
@@ -222,6 +273,18 @@ class TestEbPredict:
         out = predict_areas(areas, params)
         assert out.area_ids == [f"id{i}" for i in range(5)]
         assert all(p > 0 and v >= 0 for p, v in zip(out.prediction, out.m1))
+
+
+    def test_a_total_that_overflows_names_its_area_without_a_warning(self):
+        # beta^2 sme overflows for area b alone; gamma there was inf / inf
+        params = ModelParams(beta=np.array([1e155]), sigma2_nu=1.0)
+        areas = [obs_1d(z=1.0, w=0.0, area_id="a"), obs_1d(z=1.0, sme=1.0, area_id="b")]
+        message = r"^b: beta'sigma_me beta \+ sigma2_nu \+ psi == inf$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVariance, match=message) as exc:
+                predict_areas(areas, params)
+        assert exc.value.index == 1
 
 
 class TestM1Term:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_areas, random_dataset
 from logsae import _arrays, mspe, rng
-from logsae.errors import InsufficientAreas, SingularMomentMatrix
+from logsae.errors import DegenerateVariance, InsufficientAreas, SingularMomentMatrix
 from logsae.estimation import FitConfig, fit
 from logsae.model import Dataset
 from logsae.mspe import bootstrap_mspe, jackknife_mspe
@@ -118,6 +118,23 @@ class TestJackknife:
             jackknife_mspe(areas, full)
         assert exc.value.index == 2
         assert "synthetic failure" in str(exc.value)
+
+
+    def test_a_refit_total_that_overflows_names_its_area(self):
+        # sme_3 = 1e308: the full fit keeps beta'sme beta finite, a
+        # leave-one-out refit does not, and its total was a silent NaN
+        gen = np.random.default_rng(1)
+        z, w = gen.normal(2.0, 1.0, 12), gen.normal(1.0, 1.0, (12, 1))
+        sigma = np.zeros((12, 1, 1))
+        sigma[1::2], sigma[3] = 0.1, 1e308
+        data = Dataset.from_columns(
+            [f"a{i}" for i in range(12)], z, w, np.full(12, 0.5), sigma
+        )
+        full = fit(data)
+        message = r"^a3: beta'sigma_me beta \+ sigma2_nu \+ psi == inf$"
+        with pytest.raises(DegenerateVariance, match=message) as exc:
+            jackknife_mspe(data, full)
+        assert exc.value.index == 3
 
 
 class TestBootstrap:
@@ -272,6 +289,20 @@ class TestBootstrap:
         full = fit(areas)
         with pytest.raises(ValueError, match=f"^b must be an integer, got {re.escape(repr(b))}$"):
             bootstrap_mspe(areas, full, b=b, seed=1)
+
+    def test_too_few_areas_rejected(self):
+        z, w, psi, sigma = random_dataset(np.random.default_rng(3), m=6, p=2)
+        areas = make_areas(z, w, psi, sigma)
+        full = fit(areas)
+        with pytest.raises(InsufficientAreas, match="^need at least 3 areas"):
+            bootstrap_mspe(areas[:2], full, b=4, seed=1)
+
+    def test_b_and_seed_are_checked_before_the_areas(self):
+        full = fit(make_areas(*small_dataset()[:3]))
+        with pytest.raises(ValueError, match="^b must be >= 2, got 1$"):
+            bootstrap_mspe([], full, b=1, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            bootstrap_mspe([], full, b=4, seed=-1)
 
     def test_m2_star_stabilizes_as_b_doubles(self):
         # law of large numbers: the B and 2B means differ by less than

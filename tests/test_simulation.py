@@ -11,7 +11,7 @@ import oracles
 from conftest import make_areas
 from logsae import _arrays, dataio, mspe, rng
 from logsae import simulation as sim
-from logsae.errors import NumericalError
+from logsae.errors import NumericalError, SingularMomentMatrix
 from logsae.estimation import FitConfig, fit
 
 
@@ -106,6 +106,10 @@ class TestConfigValidation:
             cfg(seed=-1)
         with pytest.raises(ValueError):
             cfg(covariate_var=0.0)
+        with pytest.raises(ValueError, match="^beta_true must be non-empty$"):
+            cfg(beta_true=())
+        with pytest.raises(ValueError, match="^sigma2_nu_true must be >= 0$"):
+            cfg(sigma2_nu_true=-1.0)
         for field, value in [
             ("d", math.nan),
             ("d", math.inf),
@@ -298,6 +302,28 @@ class TestMspeStudy:
         names = ("sq_error_area_mean", "mspe_jackknife_area_mean", "mspe_bootstrap_area_mean")
         for name, column in zip(names, zip(*means)):
             assert report.tables["replicates"][name].tolist() == list(column)
+
+    def test_a_replicate_whose_bootstrap_refits_all_fail_is_dropped(self, monkeypatch):
+        # a fit_batch call of b_bootstrap rows is one replicate's bootstrap:
+        # the full fits have 3 rows and the leave-one-out refits 6 per replicate
+        config = cfg(m=6, k_percent=50.0, r_replications=3, b_bootstrap=7)
+        real, bootstraps = _arrays.fit_batch, []
+
+        def second_bootstrap_fails(arr, fit_config, beta_init=None):
+            result = real(arr, fit_config, beta_init)
+            n = len(arr.z)
+            if n == config.b_bootstrap:
+                bootstraps.append(n)
+                if len(bootstraps) == 2:
+                    failures = {r: SingularMomentMatrix("synthetic failure") for r in range(n)}
+                    return dataclasses.replace(result, errors=failures)
+            return result
+
+        monkeypatch.setattr(_arrays, "fit_batch", second_bootstrap_fails)
+        report = sim.run_mspe_study(config)
+        assert len(bootstraps) == 3
+        assert (report.r_completed, report.r_failed) == (2, 1)
+        assert report.tables["replicates"]["replicate"].tolist() == [0, 2]
 
     @pytest.mark.slow
     def test_relative_bias_not_worse_at_large_m(self):
